@@ -342,9 +342,7 @@ class WFA:
         self._kernel.load_w(w)
         self._rec = rec
         self._statements_analyzed = int(state["statements_analyzed"])
-        # Absent in pre-v3 documents: default 0 keeps old checkpoints
-        # loading (their first delta checkpoint then re-serializes fully).
-        self._w_version = int(state.get("w_version", 0))
+        self._w_version = int(state["w_version"])
 
     def work_value(self, subset: AbstractSet[Index]) -> float:
         return self._kernel.work_value(self._mask_of(subset))

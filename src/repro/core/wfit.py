@@ -650,10 +650,8 @@ class WFIT:
         tuner._auto = auto
         tuner._n = int(state["statements_analyzed"])
         tuner.repartition_count = int(state["repartition_count"])
-        # Optional in pre-scheduler documents (STATE_VERSION unchanged:
-        # purely additive, reporting-only fields).
-        tuner._feedback_count = int(state.get("feedback_count", 0))
-        last_feedback = state.get("last_feedback_position")
+        tuner._feedback_count = int(state["feedback_count"])
+        last_feedback = state["last_feedback_position"]
         tuner._last_feedback_position = (
             None if last_feedback is None else int(last_feedback)
         )

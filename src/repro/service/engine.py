@@ -12,7 +12,9 @@ way for concurrent traffic:
   through the one shared :class:`~repro.core.wfit.WFIT` instance. Batch
   formation is deterministic — ``(priority rank, arrival seq)`` order —
   so a uniform-priority engine drains in exact submission order,
-  bit-identical to the pre-scheduler FIFO. Per-class queue bounds give
+  bit-identical to WFIT fed statement by statement. With a WAL attached
+  every micro-batch is logged as a ``drain`` record, so recovery
+  re-forms the same batches. Per-class queue bounds give
   typed backpressure (:class:`~repro.service.scheduler.QueueFull`)
   instead of unbounded growth, and foreground (``interactive`` /
   ``normal``) batches always form before ``background`` ones, which
@@ -94,6 +96,7 @@ from .scheduler import (
     IngestScheduler,
     QueueEntry,
     QueueFull,
+    entry_payload,
     normalize_priority,
 )
 
@@ -579,12 +582,9 @@ class TuningEngine:
             )
             self._scheduler.admit(resolved, 1)
             if self._wal is not None:
-                payload: Dict[str, object] = {
-                    "client_id": client_id, "sql": to_sql(parsed),
-                }
-                if resolved != DEFAULT_PRIORITY:
-                    payload["priority"] = resolved
-                self._wal.append("submit", payload)
+                self._wal.append(
+                    "submit", entry_payload(client_id, to_sql(parsed), resolved)
+                )
             self._scheduler.push(resolved, client_id, parsed)
             client.submitted += 1
             self._wakeup.notify()
@@ -645,15 +645,10 @@ class TuningEngine:
             for priority in sorted(counts):
                 self._scheduler.admit(priority, counts[priority])
             if self._wal is not None:
-                payload_entries: List[Dict[str, object]] = []
-                for _, client_id, parsed, priority in resolved:
-                    item: Dict[str, object] = {
-                        "client_id": client_id, "sql": to_sql(parsed),
-                    }
-                    if priority != DEFAULT_PRIORITY:
-                        item["priority"] = priority
-                    payload_entries.append(item)
-                self._wal.append("submit_many", {"entries": payload_entries})
+                self._wal.append("submit_many", {"entries": [
+                    entry_payload(client_id, to_sql(parsed), priority)
+                    for _, client_id, parsed, priority in resolved
+                ]})
             for client, client_id, parsed, priority in resolved:
                 self._scheduler.push(priority, client_id, parsed)
                 client.submitted += 1
@@ -758,22 +753,16 @@ class TuningEngine:
     def _drain_batch(self, budget: int, classes: Tuple[str, ...]) -> int:  # holds: _pump_lock
         """Form and analyze one micro-batch from ``classes``.
 
-        Batch formation and the WAL ``drain`` record happen under the
-        ingest lock, so no concurrent submit can land between the pop
-        and the record — the log's drain order is exactly the effect
-        order, which is what replay depends on. Drain records are only
-        written once a non-default priority has ever been enqueued: an
-        all-``normal`` history drains FIFO, replay can reproduce it from
-        the submissions alone, and the log stays byte-identical to the
-        pre-scheduler format.
+        With a WAL attached, every non-empty batch appends one ``drain``
+        record (position, count, eligible classes). Batch formation and
+        the record happen under the ingest lock, so no concurrent submit
+        can land between the pop and the record — the log's drain order
+        is exactly the effect order, and replay re-forms every batch
+        from its record alone.
         """
         with self._ingest_lock:
             entries = self._scheduler.take(budget, classes)
-            if (
-                entries
-                and self._wal is not None
-                and self._scheduler.priorities_seen
-            ):
+            if entries and self._wal is not None:
                 self._wal.append(
                     "drain",
                     {
@@ -830,45 +819,19 @@ class TuningEngine:
                 processed += count
         return processed
 
-    def _pump_fifo(self, limit: int) -> int:
-        """Recovery catch-up drain: pure arrival order, no lane rules.
-
-        WAL records written before any non-default priority existed
-        carry no batch boundaries; at that point every queued entry was
-        ``normal`` and drained FIFO. Replay must reproduce those pops by
-        arrival order even though later (already re-enqueued)
-        submissions with higher classes are now sitting in the queues —
-        priority-order popping would steal their place. Only
-        :meth:`repro.service.wal.Durability` calls this.
-        """
-        processed = 0
-        with self._pump_lock:
-            while processed < limit:
-                budget = min(self.batch_size, limit - processed)
-                with self._ingest_lock:
-                    entries = self._scheduler.take_fifo(budget)
-                if not entries:
-                    break
-                self._process_entries(entries)
-                processed += len(entries)
-        return processed
-
     def _replay_drain(self, count: int, classes: Sequence[str]) -> int:
         """Re-form one WAL-logged micro-batch during recovery.
 
         Pops exactly the entries the original ``drain`` record covered
-        (same class filter, same deterministic order) and analyzes them.
-        Returns how many were actually available — the caller
+        (same class filter, same deterministic order) and analyzes them
+        — the live drain path itself, run with no WAL attached. Returns
+        how many were actually available — the caller
         (:meth:`repro.service.wal.Durability._apply_record`) refuses
         recovery on a shortfall.
         """
-        eligible = tuple(normalize_priority(c) for c in classes) or PRIORITIES
+        eligible = tuple(normalize_priority(c) for c in classes)
         with self._pump_lock:
-            with self._ingest_lock:
-                entries = self._scheduler.take(count, eligible)
-            if entries:
-                self._process_entries(entries)
-            return len(entries)
+            return self._drain_batch(count, eligible)
 
     # -- background drain ------------------------------------------------------
 
@@ -1021,8 +984,9 @@ class TuningEngine:
                 raise ValueError("F+ and F- must be disjoint")
             if self._wal is not None:
                 # The position pins the vote to the statement count it ran
-                # at: recovery pumps exactly that far before re-applying,
-                # so feedback lands on the same work-function state.
+                # at: recovery checks that the replayed drains reached
+                # exactly that count, so feedback lands on the same
+                # work-function state.
                 self._wal.append(
                     "vote",
                     {

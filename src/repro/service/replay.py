@@ -172,6 +172,82 @@ def _step_recommendations(
     return recs
 
 
+def _stashed_trace(document: Dict[str, object], what: str):
+    """``(params, engine_options, stats, trace)`` rebuilt from the trace
+    parameters ``replay`` stashed in ``document``; None (reported on
+    stderr) when the document carries none."""
+    extra = document.get("extra") or {}
+    if "trace" not in extra:
+        print(
+            f"{what} lacks trace parameters (was it written by "
+            "`repro.service replay`?)",
+            file=sys.stderr,
+        )
+        return None
+    params = dict(extra["trace"])
+    stats, trace = _build_trace(params)
+    return params, dict(extra.get("engine_options") or {}), stats, trace
+
+
+def _finish(
+    args: argparse.Namespace,
+    report: Dict[str, object],
+    engine: TuningEngine,
+    recs: List[Tuple[str, ...]],
+    label: str,
+    stashed,
+    start: int,
+) -> int:
+    """Complete ``report`` with ``engine``'s metrics and emit it; returns
+    the exit code.
+
+    With ``--verify``, ``engine`` — resumed at statement ``start``, with
+    ``recs`` recorded one statement at a time — is compared against an
+    uninterrupted run of the :func:`_stashed_trace` workload: the
+    reference takes the prefix in one batch, then steps the same
+    statements the same way. ``label`` (``restored`` / ``recovered``)
+    names ``engine`` in the report's ``verify`` block; a divergence
+    exits 1.
+    """
+    metrics = engine.metrics()
+    report["lag"] = _lag_report(metrics)
+    report["metrics"] = metrics
+    verified = True
+    if args.verify:
+        params, engine_options, stats, trace = stashed
+        reference = _build_engine(stats, engine.batch_size, engine_options)
+        _apply_priority_map(reference, dict(params.get("priority_map") or {}))
+        reference.submit_many(trace.prefix(start))
+        reference.pump()
+        reference_recs = _step_recommendations(
+            reference, trace[start : start + len(recs)]
+        )
+        mismatches = [
+            {"step": start + i, label: list(a), "reference": list(b)}
+            for i, (a, b) in enumerate(zip(recs, reference_recs))
+            if a != b
+        ]
+        work_delta = abs(engine.total_work - reference.total_work)
+        verified = (
+            len(recs) == len(reference_recs)
+            and not mismatches
+            and work_delta <= _VERIFY_TOL * max(1.0, abs(reference.total_work))
+        )
+        report["verify"] = {
+            "verified": verified,
+            "recommendation_mismatches": mismatches,
+            f"total_work_{label}": engine.total_work,
+            "total_work_reference": reference.total_work,
+            "total_work_delta": work_delta,
+        }
+    _attach_obs(report, args.trace_out)
+    _emit(report, args.metrics_out)
+    if not verified:
+        print(f"VERIFY FAILED: {label} run diverged", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         params = _trace_params(args)
@@ -290,19 +366,11 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     except SnapshotError as exc:
         print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 2
-    extra = document.get("extra") or {}
-    if "trace" not in extra:
-        print(
-            "checkpoint lacks trace parameters (was it written by "
-            "`repro.service replay`?)",
-            file=sys.stderr,
-        )
+    stashed = _stashed_trace(document, "checkpoint")
+    if stashed is None:
         return 2
-    params = dict(extra["trace"])
-    position = int(extra["position"])
-    engine_options = dict(extra.get("engine_options") or {})
-    stats, trace = _build_trace(params)
-
+    params, _, stats, trace = stashed
+    position = int(document["extra"]["position"])
     try:
         restored = TuningEngine.restore(
             document, WhatIfOptimizer(stats), StatsTransitionCosts(stats)
@@ -314,51 +382,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     restored_recs = _step_recommendations(restored, trace.suffix(position))
     elapsed = time.perf_counter() - started
 
-    metrics = restored.metrics()
     report: Dict[str, object] = {
         "command": "resume",
         "trace": params,
         "resumed_at": position,
         "statements_replayed": len(trace) - position,
         "elapsed_seconds": elapsed,
-        "lag": _lag_report(metrics),
-        "metrics": metrics,
     }
-
-    exit_code = 0
-    if args.verify:
-        reference = _build_engine(
-            stats, int(document["batch_size"]), engine_options
-        )
-        _apply_priority_map(reference, dict(params.get("priority_map") or {}))
-        reference.submit_many(trace.prefix(position))
-        reference.pump()
-        reference_recs = _step_recommendations(
-            reference, trace.suffix(position)
-        )
-        mismatches = [
-            {"step": position + i, "restored": list(a), "reference": list(b)}
-            for i, (a, b) in enumerate(zip(restored_recs, reference_recs))
-            if a != b
-        ]
-        work_delta = abs(restored.total_work - reference.total_work)
-        verified = not mismatches and work_delta <= _VERIFY_TOL * max(
-            1.0, abs(reference.total_work)
-        )
-        report["verify"] = {
-            "verified": verified,
-            "recommendation_mismatches": mismatches,
-            "total_work_restored": restored.total_work,
-            "total_work_reference": reference.total_work,
-            "total_work_delta": work_delta,
-        }
-        if not verified:
-            exit_code = 1
-    _attach_obs(report, args.trace_out)
-    _emit(report, args.metrics_out)
-    if exit_code:
-        print("VERIFY FAILED: restored run diverged", file=sys.stderr)
-    return exit_code
+    return _finish(
+        args, report, restored, restored_recs, "restored", stashed, position
+    )
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -370,14 +403,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    extra = document.get("extra") or {}
-    if "trace" not in extra:
-        print("durable snapshot lacks trace parameters", file=sys.stderr)
+    stashed = _stashed_trace(document, "durable snapshot")
+    if stashed is None:
         return 2
-    params = dict(extra["trace"])
-    engine_options = dict(extra.get("engine_options") or {})
-    stats, trace = _build_trace(params)
-
+    params, _, stats, trace = stashed
     started = time.perf_counter()
     try:
         engine, recovery = TuningEngine.recover(
@@ -399,7 +428,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     end_position = engine.statements_processed
     elapsed = time.perf_counter() - started
 
-    metrics = engine.metrics()
+    if args.verify and end_position > len(trace):
+        print(
+            "recovered engine is ahead of the generated trace — "
+            "durable directory does not match the trace parameters",
+            file=sys.stderr,
+        )
+        return 2
     report: Dict[str, object] = {
         "command": "recover",
         "directory": str(args.dir),
@@ -408,52 +443,11 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         "recovered_at": start_position,
         "statements_replayed": end_position - start_position,
         "elapsed_seconds": elapsed,
-        "lag": _lag_report(metrics),
-        "metrics": metrics,
     }
-
-    exit_code = 0
-    if args.verify:
-        if end_position > len(trace):
-            print(
-                "recovered engine is ahead of the generated trace — "
-                "durable directory does not match the trace parameters",
-                file=sys.stderr,
-            )
-            return 2
-        reference = _build_engine(stats, engine.batch_size, engine_options)
-        _apply_priority_map(reference, dict(params.get("priority_map") or {}))
-        reference.submit_many(trace.prefix(start_position))
-        reference.pump()
-        reference_recs = _step_recommendations(
-            reference, trace[start_position:end_position]
-        )
-        mismatches = [
-            {"step": start_position + i, "recovered": list(a), "reference": list(b)}
-            for i, (a, b) in enumerate(zip(recovered_recs, reference_recs))
-            if a != b
-        ]
-        work_delta = abs(engine.total_work - reference.total_work)
-        verified = (
-            len(recovered_recs) == len(reference_recs)
-            and not mismatches
-            and work_delta
-            <= _VERIFY_TOL * max(1.0, abs(reference.total_work))
-        )
-        report["verify"] = {
-            "verified": verified,
-            "recommendation_mismatches": mismatches,
-            "total_work_recovered": engine.total_work,
-            "total_work_reference": reference.total_work,
-            "total_work_delta": work_delta,
-        }
-        if not verified:
-            exit_code = 1
-    _attach_obs(report, args.trace_out)
-    _emit(report, args.metrics_out)
-    if exit_code:
-        print("VERIFY FAILED: recovered run diverged", file=sys.stderr)
-    return exit_code
+    return _finish(
+        args, report, engine, recovered_recs, "recovered", stashed,
+        start_position,
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

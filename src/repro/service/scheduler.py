@@ -18,7 +18,7 @@ any misbehaving client. This module factors scheduling out of
   entries in ``(priority rank, arrival seq)`` order, a *pure function*
   of queue content: no clocks, no randomness, no aging. A
   uniform-priority queue therefore drains in exact submission order —
-  bit-identical to the pre-scheduler FIFO engine, which is the
+  bit-identical to WFIT fed the statements one by one, which is the
   determinism oracle the property tests pin.
 * **Admission control** — per-class depth bounds
   (:data:`DEFAULT_QUEUE_LIMIT` unless overridden) with typed
@@ -72,7 +72,8 @@ __all__ = [
 PRIORITIES: Tuple[str, ...] = ("interactive", "normal", "background")
 
 #: The class submissions get when neither the session nor the call names
-#: one — and the class every pre-scheduler WAL/snapshot record maps to.
+#: one — and the class a WAL/snapshot entry without a ``priority`` key
+#: decodes to (the compact encoding omits the default).
 DEFAULT_PRIORITY = "normal"
 
 #: Classes drained by foreground micro-batches (and by
@@ -102,6 +103,28 @@ def normalize_priority(priority: Optional[str]) -> str:
             f"unknown priority {priority!r} (expected one of {PRIORITIES})"
         )
     return priority
+
+
+def entry_payload(client_id: str, sql: str, priority: str) -> Dict[str, object]:
+    """One submission as WAL records and snapshot ``pending`` lists store
+    it. The encoding is compact: the ``priority`` key is omitted for
+    :data:`DEFAULT_PRIORITY`."""
+    payload: Dict[str, object] = {"client_id": client_id, "sql": sql}
+    if priority != DEFAULT_PRIORITY:
+        payload["priority"] = priority
+    return payload
+
+
+def entry_from_payload(payload: Mapping[str, object]) -> Tuple[str, str, str]:
+    """Decode :func:`entry_payload` into a ``(client_id, sql, priority)``
+    ``submit_many`` entry. The priority is always explicit — never left
+    to the session's current default, which may differ from the class
+    the entry was admitted under."""
+    return (
+        str(payload["client_id"]),
+        str(payload["sql"]),
+        str(payload.get("priority", DEFAULT_PRIORITY)),
+    )
 
 
 class QueueFull(RuntimeError):
@@ -168,12 +191,6 @@ class IngestScheduler:
         self._rejections: Dict[str, int] = {  # guarded-by: _lock
             priority: 0 for priority in PRIORITIES
         }
-        # Sticky: flips on the first non-default push and never resets.
-        # The engine keys WAL drain-record logging off it — an engine
-        # that has only ever seen the default class drains in pure FIFO
-        # order, so its log needs no batch-boundary records and stays
-        # byte-identical to the pre-scheduler format.
-        self._priorities_seen = False  # guarded-by: _lock
         self._tasks: Deque[Tuple[int, str, Callable[[], object]]] = deque()  # guarded-by: _lock
         self._next_task_seq = 0  # guarded-by: _lock
         self._tasks_deferred = 0  # guarded-by: _lock
@@ -246,8 +263,6 @@ class IngestScheduler:
         entry = QueueEntry(self._next_seq, priority, client_id, statement)
         self._next_seq += 1
         self._queues[priority].append(entry)
-        if priority != DEFAULT_PRIORITY:
-            self._priorities_seen = True
         return entry
 
     def take(
@@ -271,27 +286,6 @@ class IngestScheduler:
                     out.append(queue.popleft())
                 if len(out) >= limit:
                     break
-        return out
-
-    def take_fifo(self, limit: int) -> List[QueueEntry]:
-        """Pop up to ``limit`` entries in pure arrival (``seq``) order.
-
-        Recovery's catch-up mode: WAL records written *before* the first
-        non-default-priority submission carry no batch boundaries —
-        legitimately, because a queue that has only ever held the
-        default class drains FIFO. Replaying that prefix must therefore
-        pop by arrival order even if higher-priority entries (submitted
-        later in the log, already re-enqueued) are now present.
-        """
-        if limit < 1:
-            return []
-        out: List[QueueEntry] = []
-        with self._lock:
-            queues = [q for q in self._queues.values() if q]
-            while queues and len(out) < limit:
-                head = min(queues, key=lambda q: q[0].seq)
-                out.append(head.popleft())
-                queues = [q for q in queues if q]
         return out
 
     def _normalize_classes(
@@ -323,12 +317,6 @@ class IngestScheduler:
         """Cumulative per-class admission rejections."""
         with self._lock:
             return dict(self._rejections)
-
-    @property
-    def priorities_seen(self) -> bool:
-        """Whether any non-default-priority entry was ever pushed."""
-        with self._lock:
-            return self._priorities_seen
 
     def entries(self) -> List[QueueEntry]:
         """Every queued entry in arrival (``seq``) order, not popped.

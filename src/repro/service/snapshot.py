@@ -12,14 +12,15 @@ step-identically:
 * the what-if optimizer's universe bit-assignment order
   (:meth:`repro.core.bitset.IndexUniverse.export_order`), so restored
   masks and cache layouts reproduce the original run exactly;
-* the engine's materialized set, totWork accounting, and per-session
+* the engine's materialized set, both totWork series, and per-session
   audit logs;
 * the *pending queue* — statements submitted but not yet pumped at the
-  snapshot point (version 2). They are serialized as SQL and re-submitted
-  on restore, so a crash between submit and pump no longer loses work;
-* the WAL high-water mark and delta chaining (version 3): a document
-  records the highest WAL sequence number it covers (``wal_seq``), and a
-  **delta** document re-serializes only the parts whose work-function
+  snapshot point, serialized as SQL (with their priority class) and
+  re-submitted on restore, so a crash between submit and pump loses no
+  work;
+* the WAL high-water mark and delta chaining: a document records the
+  highest WAL sequence number it covers (``wal_seq``), and a **delta**
+  document re-serializes only the parts whose work-function
   state changed since a **base** full snapshot, replacing unchanged parts
   with ``{"indices": ..., "same_as_base": true}`` and naming the base by
   ``base_id``. :func:`resolve_chain` overlays a delta back onto its base;
@@ -35,9 +36,11 @@ optimizer over equivalent statistics re-derives them on demand — restore
 needs statistics, not gigabytes of memoized plans.
 
 Documents are plain JSON (floats round-trip exactly through Python's
-``json``) with a top-level ``version``; :func:`restore_engine` rejects
-unknown versions up front with a typed :class:`SnapshotError` (still a
-``ValueError``, so pre-existing callers keep working).
+``json``) with a top-level ``version``. There is one format,
+:data:`SNAPSHOT_VERSION`: :func:`restore_engine` rejects any other
+version with :class:`UnsupportedVersion`, and a document missing a key
+or carrying an ill-typed one with :class:`CorruptSnapshot` — both
+:class:`SnapshotError`, so recovery skips them under the chain rules.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from ..core.wfit import WFIT
 from ..db.index import Index
 from ..ioutil import REAL_IO, FileIO, atomic_write_json
 from ..optimizer.whatif import WhatIfOptimizer
+from .scheduler import entry_from_payload, entry_payload, normalize_priority
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -64,14 +68,9 @@ __all__ = [
     "save_checkpoint",
 ]
 
-#: Format version of engine checkpoint documents. Version 2 added the
-#: ``"pending"`` list (submitted-but-unpumped statements); version 3 added
-#: durability metadata (``kind``/``snapshot_id``/``base_id``/``wal_seq``)
-#: and delta documents. Older documents still restore.
+#: Format version of engine checkpoint documents, the only one
+#: :func:`restore_engine` accepts.
 SNAPSHOT_VERSION = 3
-
-#: Versions :func:`restore_engine` accepts.
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 class SnapshotError(ValueError):
@@ -87,7 +86,8 @@ class UnsupportedVersion(SnapshotError):
 
 
 class CorruptSnapshot(SnapshotError):
-    """The document is unreadable (bad JSON / not an object)."""
+    """The document is unreadable (bad JSON / not an object) or lacks a
+    key it must carry (or carries it with the wrong type)."""
 
 
 class BrokenChain(SnapshotError):
@@ -136,15 +136,12 @@ def checkpoint_engine(
         # truncated away unreplayed.
         with engine._ingest_lock:
             clients = sorted(engine._clients.items())
-            pending = []
-            for entry in engine._scheduler.entries():
-                item: Dict[str, object] = {
-                    "client_id": entry.client_id,
-                    "sql": to_sql(entry.statement),
-                }
-                if entry.priority != "normal":
-                    item["priority"] = entry.priority
-                pending.append(item)
+            pending = [
+                entry_payload(
+                    entry.client_id, to_sql(entry.statement), entry.priority
+                )
+                for entry in engine._scheduler.entries()
+            ]
             wal = engine._wal
             wal_seq = wal.checkpoint_mark() if wal is not None else 0
         document: Dict[str, object] = {
@@ -230,7 +227,7 @@ def _state_unchanged(
     exact per-field comparison (w vector, recommendation mask, statement
     count) decides.
     """
-    if base_state.get("w_version") == state.get("w_version"):
+    if base_state["w_version"] == state["w_version"]:
         return True
     keys = (set(base_state) | set(state)) - {"w_version"}
     return all(base_state.get(key) == state.get(key) for key in keys)
@@ -240,8 +237,9 @@ def _delta_against(
     document: Dict[str, object], base: Dict[str, object]
 ) -> Optional[Dict[str, object]]:
     """``document`` as a delta chained to ``base``, or None when a delta
-    is impossible (pre-v3 base, repartition since the base, no shared
-    parts) — the caller then publishes the full document."""
+    is impossible (base not a full current-version document, repartition
+    since the base, no shared parts) — the caller then publishes the full
+    document."""
     if base.get("version") != SNAPSHOT_VERSION or base.get("kind") != "full":
         return None
     if base.get("snapshot_id") is None:
@@ -327,6 +325,22 @@ def resolve_chain(
     return resolved
 
 
+#: Top-level keys every document carries, with their JSON types.
+_REQUIRED_KEYS = {
+    "kind": str,
+    "wal_seq": int,
+    "batch_size": int,
+    "background_batch_size": int,
+    "background_pacing": (int, float),
+    "tuner": dict,
+    "universe_order": list,
+    "materialized": list,
+    "accounting": dict,
+    "sessions": list,
+    "pending": list,
+}
+
+
 def restore_engine(
     document: Dict[str, object],
     optimizer: WhatIfOptimizer,
@@ -338,21 +352,40 @@ def restore_engine(
     original's; its mask universe is seeded with the checkpointed bit
     order before any statement flows through it. Delta documents must be
     resolved first (:func:`resolve_chain`); passing one raises
-    :class:`BrokenChain`.
+    :class:`BrokenChain`. Any version but :data:`SNAPSHOT_VERSION` raises
+    :class:`UnsupportedVersion`; a missing or ill-typed key raises
+    :class:`CorruptSnapshot`.
     """
-    from .engine import SessionEvent, TuningEngine
-
     version = document.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise UnsupportedVersion(
             f"unsupported engine checkpoint version {version!r} "
-            f"(supported: {_SUPPORTED_VERSIONS})"
+            f"(supported: {SNAPSHOT_VERSION})"
         )
     if document.get("kind") == "delta":
         raise BrokenChain(
             "delta checkpoint cannot restore on its own; overlay it onto "
             "its base snapshot with resolve_chain() first"
         )
+    for key, kind in _REQUIRED_KEYS.items():
+        if not isinstance(document.get(key), kind):
+            raise CorruptSnapshot(
+                f"snapshot key {key!r} is missing or ill-typed "
+                f"(got {type(document.get(key)).__name__})"
+            )
+    try:
+        return _restore(document, optimizer, transitions)
+    except KeyError as exc:
+        raise CorruptSnapshot(f"snapshot lacks key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CorruptSnapshot(f"snapshot has an ill-typed value: {exc}") from exc
+
+
+def _restore(document: Dict[str, object], optimizer, transitions):
+    """:func:`restore_engine` past its version and top-level key checks."""
+    from ..query.parser import parse_statement
+    from .engine import SessionEvent, TuningEngine
+
     optimizer.mask_universe.extend_order(
         Index.from_payload(payload) for payload in document["universe_order"]
     )
@@ -365,8 +398,8 @@ def restore_engine(
         optimizer,
         transitions,
         batch_size=int(document["batch_size"]),
-        background_batch_size=int(document.get("background_batch_size", 1)),
-        background_pacing=float(document.get("background_pacing", 0.008)),
+        background_batch_size=int(document["background_batch_size"]),
+        background_pacing=float(document["background_pacing"]),
     )
     engine._tuner = WFIT.restore_state(
         optimizer, transitions, document["tuner"]
@@ -381,56 +414,38 @@ def restore_engine(
     )
     engine._statements_processed = int(accounting["statements_processed"])
     engine._batches_processed = int(accounting["batches_processed"])
-    # Realized (actual-adoption) totWork. Documents written before the
-    # series existed assumed immediate adoption throughout, under which
-    # the realized and recommended series coincide — seed from the
-    # recommended total.
-    engine._realized_work = float(
-        accounting.get("realized_work", accounting["total_work"])
-    )
+    engine._realized_work = float(accounting["realized_work"])
     engine._pending_transition = float(
-        accounting.get("pending_realized_transition", 0.0)
+        accounting["pending_realized_transition"]
     )
-    pending_realized = accounting.get("pending_realized")
+    pending_realized = accounting["pending_realized"]
     if pending_realized is not None:
-        from ..query.parser import parse_statement
-
         engine._pending_realized = (
             str(pending_realized["client_id"]),
             parse_statement(str(pending_realized["sql"])),
         )
-    engine._adoptions = int(accounting.get("adoption_changes", 0))
-    last_adoption = accounting.get("last_adoption_position")
+    engine._adoptions = int(accounting["adoption_changes"])
+    last_adoption = accounting["last_adoption_position"]
     engine._last_adoption_position = (
         None if last_adoption is None else int(last_adoption)
     )
     for item in document["sessions"]:
         state = engine._client(str(item["client_id"]))
-        if item.get("priority") is not None:
-            state.priority = str(item["priority"])
+        state.priority = normalize_priority(str(item["priority"]))
         state.submitted = int(item["submitted"])
         state.processed = int(item["processed"])
         state.events = [
             SessionEvent(str(kind), str(detail), int(position))
             for kind, detail, position in item["events"]
         ]
-        state.recommended_work = float(item.get("recommended_work", 0.0))
-        state.realized_work = float(item.get("realized_work", 0.0))
-    # Replay the pending queue (version ≥ 2; absent in version-1
-    # documents) in submission order: the statements re-enter the queue
-    # un-analyzed — priority classes included — exactly as they stood at
-    # the snapshot point, and the next pump processes them. submit()
-    # re-increments the per-session submitted counters past the
-    # serialized processed counts. Priorities are passed explicitly (an
-    # absent key means the entry was queued as "normal"), never left to
-    # the session default, which the lines above may have restored to a
-    # different class than the entry was admitted under.
-    for item in document.get("pending", ()):
-        engine.submit(
-            str(item["client_id"]),
-            str(item["sql"]),
-            priority=str(item.get("priority", "normal")),
-        )
+        state.recommended_work = float(item["recommended_work"])
+        state.realized_work = float(item["realized_work"])
+    # Replay the pending queue in submission order: the statements
+    # re-enter the queue un-analyzed — priority classes included —
+    # exactly as they stood at the snapshot point, and the next pump
+    # processes them. Re-submission re-increments the per-session
+    # submitted counters past the serialized processed counts.
+    engine.submit_many(entry_from_payload(item) for item in document["pending"])
     return engine
 
 

@@ -10,12 +10,12 @@ about. The classic fix is the classic database one:
   ``materialize``) appends a record to an append-only log **before** the
   in-memory mutation, under the same lock acquisition, so log order
   equals effect order. Submissions carry their priority class when it is
-  not the default, and once any non-default class has been enqueued the
-  single writer also logs ``drain`` records — batch boundaries naming
-  the position, count, and eligible classes of each micro-batch — so
-  replay re-forms priority-interleaved batches exactly (an all-default
-  history needs none: it drains FIFO and the log format stays identical
-  to the pre-scheduler one);
+  not the default, and the single writer logs one ``drain`` record per
+  non-empty micro-batch — the position, count, and eligible classes of
+  the batch — so replay re-forms every batch exactly, priority
+  interleaving included. Every statement position a vote or
+  materialization names is therefore reached by replayed drains alone;
+  a log that falls short is refused, never caught up by guesswork;
 * records are length-prefixed and CRC32-checksummed — the header's
   length field carries its own CRC, so a torn final record (the expected
   artifact of crashing mid-append) is detected and tolerated, while
@@ -66,6 +66,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..ioutil import REAL_IO, FileIO, atomic_write_json
+from .scheduler import entry_from_payload
+from .snapshot import (
+    SNAPSHOT_VERSION,
+    BrokenChain,
+    SnapshotError,
+    load_checkpoint,
+    resolve_chain,
+)
 
 __all__ = [
     "CorruptRecord",
@@ -454,17 +462,15 @@ def _parse_snapshot_id(name: str) -> Optional[int]:
     return int(stem)
 
 
-def _load_document(path, io: FileIO) -> Dict[str, object]:
-    from .snapshot import CorruptSnapshot
-
-    raw = io.read_bytes(path)
-    try:
-        document = json.loads(raw)
-    except ValueError as exc:
-        raise CorruptSnapshot(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise CorruptSnapshot(f"{path}: snapshot document must be a JSON object")
-    return document
+def _snapshot_ids(directory, io: FileIO) -> List[int]:
+    """Ids of the ``snapshot-NNNNNN.json`` files in ``directory``, ascending."""
+    if not io.exists(directory):
+        return []
+    return sorted(
+        snapshot_id
+        for snapshot_id in map(_parse_snapshot_id, io.listdir(directory))
+        if snapshot_id is not None
+    )
 
 
 def latest_snapshot_document(directory, *, io: FileIO = REAL_IO):
@@ -472,19 +478,10 @@ def latest_snapshot_document(directory, *, io: FileIO = REAL_IO):
     unresolved — a delta comes back as a delta), or None when no snapshot
     loads. Used by tooling that needs snapshot metadata (the replay CLI
     reads the stashed trace parameters) without paying for a restore."""
-    from .snapshot import SnapshotError
-
-    if not io.exists(directory):
-        return None
-    ids = []
-    for name in io.listdir(directory):
-        snapshot_id = _parse_snapshot_id(name)
-        if snapshot_id is not None:
-            ids.append(snapshot_id)
-    for snapshot_id in sorted(ids, reverse=True):
+    for snapshot_id in reversed(_snapshot_ids(directory, io)):
         path = os.path.join(os.fspath(directory), _snapshot_filename(snapshot_id))
         try:
-            return _load_document(path, io)
+            return load_checkpoint(path, io=io)
         except SnapshotError:
             continue
     return None
@@ -525,7 +522,7 @@ class Durability:
         self._wal: Optional[WriteAheadLog] = None
         self._base_document: Optional[Dict[str, object]] = None
         self._deltas_since_full = 0
-        ids = self._snapshot_ids()
+        ids = _snapshot_ids(self._dir, io)
         self._next_snapshot_id = (ids[-1] + 1) if ids else 1
 
     @property
@@ -535,16 +532,6 @@ class Durability:
     @property
     def wal(self) -> Optional[WriteAheadLog]:
         return self._wal
-
-    def _snapshot_ids(self) -> List[int]:
-        if not self._io.exists(self._dir):
-            return []
-        ids = []
-        for name in self._io.listdir(self._dir):
-            snapshot_id = _parse_snapshot_id(name)
-            if snapshot_id is not None:
-                ids.append(snapshot_id)
-        return sorted(ids)
 
     def _wal_file(self) -> str:
         return os.path.join(self._dir, _WAL_FILENAME)
@@ -559,8 +546,6 @@ class Durability:
         after its last record, and a torn tail from a previous crash is
         cut back to the clean prefix before new appends land.
         """
-        from .snapshot import SnapshotError
-
         if self._wal is not None:
             raise WalError("a WAL is already attached to this directory")
         path = self._wal_file()
@@ -582,13 +567,27 @@ class Durability:
         # floor: after a checkpoint truncates the log, a freshly scanned
         # (empty) WAL would otherwise restart at 1 — below the floor, and
         # recovery would wrongly skip the new records as already covered.
-        for snapshot_id in reversed(self._snapshot_ids()):
+        # The same newest-first walk seeds delta chaining from the newest
+        # full snapshot.
+        ids = _snapshot_ids(self._dir, self._io)
+        floor_seen = False
+        for snapshot_id in reversed(ids):
             try:
-                doc = _load_document(self.snapshot_path(snapshot_id), self._io)
+                document = load_checkpoint(
+                    self.snapshot_path(snapshot_id), io=self._io
+                )
             except SnapshotError:
                 continue
-            next_seq = max(next_seq, int(doc.get("wal_seq", 0)) + 1)
-            break
+            if not floor_seen:
+                next_seq = max(next_seq, int(document.get("wal_seq", 0)) + 1)
+                floor_seen = True
+            if (
+                document.get("version") == SNAPSHOT_VERSION
+                and document.get("kind") == "full"
+            ):
+                self._base_document = document
+                self._deltas_since_full = len([i for i in ids if i > snapshot_id])
+                break
         self._wal = WriteAheadLog(
             path,
             fsync_interval_ms=self._fsync_interval_ms,
@@ -599,29 +598,9 @@ class Durability:
         # Make the log's directory entry itself durable: a file whose
         # name was never fsynced can vanish wholesale in a crash.
         self._io.fsync_dir(self._dir)
-        self._load_base_document()
         self._engine = engine
         engine.attach_wal(self._wal)
         return self._wal
-
-    def _load_base_document(self) -> None:
-        """Seed delta chaining from the newest existing full snapshot."""
-        from .snapshot import SNAPSHOT_VERSION, SnapshotError
-
-        for snapshot_id in reversed(self._snapshot_ids()):
-            try:
-                document = _load_document(self.snapshot_path(snapshot_id), self._io)
-            except SnapshotError:
-                continue
-            if (
-                document.get("version") == SNAPSHOT_VERSION
-                and document.get("kind") == "full"
-            ):
-                self._base_document = document
-                self._deltas_since_full = len(
-                    [i for i in self._snapshot_ids() if i > snapshot_id]
-                )
-                return
 
     def checkpoint(
         self,
@@ -686,15 +665,16 @@ class Durability:
         """Rebuild an engine from ``directory``; returns ``(engine, report)``.
 
         Walks snapshots newest-first until one loads and its chain
-        resolves (corrupt or chain-broken snapshots are skipped and
-        reported), then replays the WAL tail: records covered by the
-        snapshot (``seq <= wal_seq``) are skipped, submissions re-enter
-        the queue, and votes/materializations are applied at exactly the
-        statement position they originally happened at. A torn final
-        record is tolerated; mid-file corruption raises
-        :class:`CorruptRecord`. Statements replayed into the queue are
-        left for the caller to pump — recovery restores state, it does
-        not advance it.
+        resolves (corrupt, incomplete or chain-broken snapshots are
+        skipped and reported), then replays the WAL tail: records covered
+        by the snapshot (``seq <= wal_seq``) are skipped, submissions
+        re-enter the queue, drain records re-form their batches, and
+        votes/materializations re-apply at the statement position they
+        name (a position replay did not reach raises :class:`WalError`).
+        A torn final record is tolerated; mid-file corruption raises
+        :class:`CorruptRecord`. Statements whose drain was never logged
+        are left queued for the caller to pump — recovery restores
+        state, it does not advance it.
 
         Falling back past a newer-but-unusable checkpoint is refused
         (:class:`repro.service.snapshot.BrokenChain`) whenever the WAL
@@ -706,34 +686,29 @@ class Durability:
         exists to prevent.
         """
         from .engine import TuningEngine
-        from .snapshot import SnapshotError, restore_engine
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute (profiling) sees every restore.
+        from .snapshot import restore_engine
 
         directory = os.fspath(directory)
         with obs.span("wal.recover"):
             document: Optional[Dict[str, object]] = None
             skipped_snapshots: List[Dict[str, object]] = []
-            ids = []
-            if io.exists(directory):
-                for name in io.listdir(directory):
-                    snapshot_id = _parse_snapshot_id(name)
-                    if snapshot_id is not None:
-                        ids.append(snapshot_id)
             stored_kind = None
             # Highest wal_seq declared by a skipped-but-parseable newer
             # snapshot: evidence of how far the acknowledged history
             # reached even when that snapshot cannot be restored.
             skipped_wal_floor = 0
-            for snapshot_id in sorted(ids, reverse=True):
+            for snapshot_id in reversed(_snapshot_ids(directory, io)):
                 path = os.path.join(directory, _snapshot_filename(snapshot_id))
                 try:
-                    raw = _load_document(path, io)
+                    raw = load_checkpoint(path, io=io)
                 except SnapshotError as exc:
                     skipped_snapshots.append(
                         {"snapshot_id": snapshot_id, "error": str(exc)}
                     )
                     continue
                 try:
-                    kind = raw.get("kind", "full")
                     candidate = Durability._resolve_document(raw, directory, io)
                     engine = restore_engine(candidate, optimizer, transitions)
                 except SnapshotError as exc:
@@ -745,13 +720,13 @@ class Durability:
                         skipped_wal_floor = max(skipped_wal_floor, raw_seq)
                     continue
                 document = candidate
-                stored_kind = kind
+                stored_kind = raw["kind"]
                 break
             else:
                 engine = TuningEngine(
                     optimizer, transitions, **(engine_options or {})
                 )
-            wal_floor = int(document.get("wal_seq", 0)) if document else 0
+            wal_floor = int(document["wal_seq"]) if document else 0
             wal_path = os.path.join(directory, _WAL_FILENAME)
             records: Tuple[WalRecord, ...] = ()
             torn = False
@@ -769,7 +744,7 @@ class Durability:
                 Durability._apply_record(engine, record)
                 replayed += 1
             report = {
-                "snapshot_id": document.get("snapshot_id") if document else None,
+                "snapshot_id": document["snapshot_id"] if document else None,
                 "snapshot_kind": stored_kind,
                 "skipped_snapshots": skipped_snapshots,
                 "wal_seq_floor": wal_floor,
@@ -798,8 +773,6 @@ class Durability:
         and a later durably-published checkpoint were truncated on the
         strength of a snapshot that can no longer be restored.
         """
-        from .snapshot import BrokenChain
-
         problems: List[str] = []
         max_floor = max(
             (r.seq for r in records if r.kind == "floor"), default=0
@@ -842,8 +815,6 @@ class Durability:
     @staticmethod
     def _resolve_document(document: Dict[str, object], directory: str, io: FileIO):
         """Overlay a delta snapshot onto its base; full docs pass through."""
-        from .snapshot import BrokenChain, resolve_chain
-
         if document.get("kind") != "delta":
             return document
         base_id = document.get("base_id")
@@ -857,43 +828,25 @@ class Durability:
                 f"delta snapshot {document.get('snapshot_id')!r} references "
                 f"missing base snapshot {base_id}"
             )
-        base = _load_document(base_path, io)
-        return resolve_chain(document, base)
+        return resolve_chain(document, load_checkpoint(base_path, io=io))
 
     @staticmethod
     def _apply_record(engine, record: WalRecord) -> None:
         """Replay one WAL record against a recovering engine.
 
         The engine has no WAL attached during recovery, so replay does
-        not re-log. Votes and materializations are position-gated: the
-        record carries the global statement count at which the action
-        originally ran, and the queue is pumped exactly that far first,
-        so feedback lands on the same work-function state it mutated in
-        the original run.
+        not re-log. Drains, votes and materializations carry the global
+        statement count at which they originally ran; since every batch
+        was logged, the replayed drains alone reach that count, so
+        feedback lands on the same work-function state it mutated in the
+        original run.
         """
         from ..db.index import Index
 
         data = record.payload
-        if record.kind == "submit":
-            # Records written before the priority scheduler carry no
-            # "priority" key; so do new records whose resolved class was
-            # the default. Either way the entry was enqueued as "normal"
-            # — the session's *current* default must not apply, because
-            # by replay time it may have changed.
-            engine.submit(
-                str(data["client_id"]),
-                str(data["sql"]),
-                priority=str(data.get("priority", "normal")),
-            )
-        elif record.kind == "submit_many":
-            engine.submit_many(
-                (
-                    str(entry["client_id"]),
-                    str(entry["sql"]),
-                    str(entry.get("priority", "normal")),
-                )
-                for entry in data["entries"]
-            )
+        if record.kind in ("submit", "submit_many"):
+            entries = data["entries"] if record.kind == "submit_many" else [data]
+            engine.submit_many(entry_from_payload(entry) for entry in entries)
         elif record.kind == "drain":
             # A drain record is a logged batch boundary: the single
             # writer popped `count` entries from the priority queues of
@@ -901,9 +854,9 @@ class Durability:
             # batch with the same class filter and the same deterministic
             # (priority, seq) order reproduces the original analysis
             # order exactly, even when classes interleave.
-            Durability._pump_to(engine, int(data["position"]), record)
+            Durability._check_position(engine, int(data["position"]), record)
             count = int(data["count"])
-            classes = tuple(str(c) for c in data.get("classes") or ())
+            classes = tuple(str(c) for c in data["classes"])
             processed = engine._replay_drain(count, classes)
             if processed < count:
                 raise WalError(
@@ -912,14 +865,14 @@ class Durability:
                     f"classes {classes!r} — the log is missing submissions"
                 )
         elif record.kind == "vote":
-            Durability._pump_to(engine, int(data["position"]), record)
+            Durability._check_position(engine, int(data["position"]), record)
             engine.vote(
                 str(data["client_id"]),
                 frozenset(Index.from_payload(p) for p in data["plus"]),
                 frozenset(Index.from_payload(p) for p in data["minus"]),
             )
         elif record.kind == "materialize":
-            Durability._pump_to(engine, int(data["position"]), record)
+            Durability._check_position(engine, int(data["position"]), record)
             action = data["action"]
             if action == "create":
                 engine.create_index(
@@ -944,26 +897,14 @@ class Durability:
             )
 
     @staticmethod
-    def _pump_to(engine, position: int, record: WalRecord) -> None:
-        deficit = position - engine.statements_processed
-        if deficit < 0:
+    def _check_position(engine, position: int, record: WalRecord) -> None:
+        """Refuse a record whose statement position replay did not reach
+        exactly: the drains logged before it must account for every
+        statement analyzed before it."""
+        if position != engine.statements_processed:
             raise WalError(
                 f"WAL record seq {record.seq} expects statement position "
-                f"{position} but the engine is already past it "
-                f"({engine.statements_processed})"
+                f"{position} but replay reached "
+                f"{engine.statements_processed} — the log is missing drain "
+                "or submit records"
             )
-        if deficit:
-            # Catch up in pure arrival (FIFO) order, not priority order:
-            # this deficit covers pre-scheduler history or an all-default
-            # prefix with no drain records, where every entry was
-            # "normal" and drained FIFO. Priority-order popping here
-            # could steal later re-enqueued higher-class submissions
-            # that did not exist at the original drain time.
-            pumped = engine._pump_fifo(deficit)
-            if pumped < deficit:
-                raise WalError(
-                    f"WAL record seq {record.seq} expects statement position "
-                    f"{position} but only {engine.statements_processed} "
-                    "statements are recoverable — the log is missing "
-                    "submissions (was an fsync dropped?)"
-                )

@@ -116,8 +116,14 @@ def reference(toy_stats):
 def _durable_run(stats, events, io, *, checkpoint_every=3, full_every=2):
     """Drive ``events`` against a WAL-attached engine, checkpointing every
     ``checkpoint_every`` statements. Returns the number of events that
-    were *acknowledged* (their engine call returned) before the scheduled
-    crash fired — or ``len(events)`` when no fault triggered."""
+    were *acknowledged* before the scheduled crash fired — or
+    ``len(events)`` when no fault triggered.
+
+    A ``stmt`` event is acknowledged once its submit returns: the
+    submission is durable from then on, so recovery plus a pump completes
+    the event even when the crash hits the pump that follows (the pump
+    logs a ``drain`` record before analyzing the batch). Every other
+    event is acknowledged when its engine call returns."""
     engine = _fresh_engine(stats)
     durability = Durability(
         DIR, io=io, fsync_interval_ms=0, full_every=full_every
@@ -127,12 +133,16 @@ def _durable_run(stats, events, io, *, checkpoint_every=3, full_every=2):
         durability.attach(engine)
         statements = 0
         for event in events:
-            _apply_event(engine, event)
-            acked += 1
             if event[0] == "stmt":
+                engine.submit("client", event[1])
+                acked += 1
+                engine.pump()
                 statements += 1
                 if statements % checkpoint_every == 0:
                     durability.checkpoint()
+            else:
+                _apply_event(engine, event)
+                acked += 1
         durability.close()
     except SimulatedCrash:
         pass
@@ -191,7 +201,11 @@ class TestKillAtBarriers:
         self, toy_stats, reference
     ):
         io = FaultyIO()
-        io.schedule_crash(op="fsync", at=6, phase="before")
+        # Each statement fsyncs its submit record, then its drain record
+        # (fsyncs 1-6 for the first three statements); the first
+        # checkpoint fsyncs its snapshot temp file (7) and the rotated
+        # log (8); fsync 9 is the vote's WAL record — crash before it.
+        io.schedule_crash(op="fsync", at=9, phase="before")
         acked = _durable_run(toy_stats, reference["events"], io)
         assert acked < len(reference["events"])
         _recover_and_verify(toy_stats, reference, io, acked)
@@ -200,10 +214,10 @@ class TestKillAtBarriers:
         self, toy_stats, reference
     ):
         io = FaultyIO()
-        # Writes 1-3 are the first three statements' records, write 4 the
-        # snapshot temp file, write 5 the rotation temp file; write 6 is
-        # the vote's WAL record — tear that one.
-        io.schedule_crash(op="write", at=6, phase="mid")
+        # Writes 1-6 are the first three statements' submit and drain
+        # records, write 7 the snapshot temp file, write 8 the rotation
+        # temp file; write 9 is the vote's WAL record — tear that one.
+        io.schedule_crash(op="write", at=9, phase="mid")
         acked = _durable_run(toy_stats, reference["events"], io)
         assert acked < len(reference["events"])
         engine, report = _recover_and_verify(toy_stats, reference, io, acked)
@@ -215,12 +229,31 @@ class TestKillAtBarriers:
         """The dual invariant: a record that *did* reach the platter is
         replayed even though the caller never saw the call return."""
         io = FaultyIO()
-        io.schedule_crash(op="fsync", at=4, phase="after")
+        # Fsync 3 pins the second statement's submit record; the crash
+        # fires before submit() returns.
+        io.schedule_crash(op="fsync", at=3, phase="after")
         acked = _durable_run(toy_stats, reference["events"], io)
-        assert acked < len(reference["events"])
+        assert acked == 1
         _recover_and_verify(
             toy_stats, reference, io, acked, expect_extra=1
         )
+
+    def test_crash_before_drain_record_fsync(self, toy_stats, reference):
+        """The pump's drain record never reaches the platter, but the
+        submission it drains was acknowledged: recovery re-queues the
+        statement, and the next pump analyzes it."""
+        io = FaultyIO()
+        # Fsync 4 is the second statement's drain record.
+        io.schedule_crash(op="fsync", at=4, phase="before")
+        acked = _durable_run(toy_stats, reference["events"], io)
+        assert acked == 2
+        engine, report = _recover(toy_stats, io)
+        kinds = [r.kind for r in read_wal(f"{DIR}/wal.log", io=io).records]
+        assert kinds == ["submit", "drain", "submit"]
+        assert report["wal_replayed"] == 3
+        assert engine.statements_processed == 1
+        assert engine.queue_depth == 1
+        _recover_and_verify(toy_stats, reference, io, acked)
 
     def test_crash_between_snapshot_publish_and_wal_truncate(
         self, toy_stats, reference
@@ -256,9 +289,7 @@ class TestKillAtBarriers:
 
     def test_crash_before_checkpoint_tmp_write(self, toy_stats, reference):
         io = FaultyIO()
-        # The 7th write is inside the first checkpoint's tmp-file publish
-        # (each of the first 3 statements and the vote writes one WAL
-        # record = writes 1-4... schedule relative to checkpoint instead).
+        # Replace 1 would publish the first checkpoint's snapshot.
         io.schedule_crash(op="replace", at=1, phase="before")
         acked = _durable_run(toy_stats, reference["events"], io)
         assert acked < len(reference["events"])
@@ -362,7 +393,7 @@ class TestRotationAndChainSafety:
         assert "vote" not in kinds
         io.crash()
         recovered, report = _recover(toy_stats, io)
-        assert report["wal_replayed"] == 3
+        assert report["wal_replayed"] == 6  # a submit and a drain each
         recovered.pump()
         _assert_signatures_equal(
             _signature(recovered),
@@ -387,6 +418,47 @@ class TestRotationAndChainSafety:
         io.flip_byte(f"{DIR}/{newest}", 0)
         with pytest.raises(BrokenChain, match="refusing recovery"):
             _recover(toy_stats, io)
+
+    def test_snapshot_missing_keys_is_refused_like_a_corrupt_one(
+        self, toy_stats, reference
+    ):
+        """A parseable newest snapshot that lacks required keys fails to
+        restore with a SnapshotError, not a bare KeyError: recovery skips
+        it and then refuses the fallback exactly as for a flipped byte."""
+        io = FaultyIO()
+        _durable_run(toy_stats, reference["events"], io)
+        io.crash()
+        newest = max(
+            name for name in io.listdir(DIR) if name.startswith("snapshot-")
+        )
+        snapshot_id = int(newest[len("snapshot-"):-len(".json")])
+        atomic_write_json(
+            f"{DIR}/{newest}",
+            {
+                "version": SNAPSHOT_VERSION,
+                "kind": "full",
+                "snapshot_id": snapshot_id,
+                "wal_seq": 0,
+            },
+            io=io,
+        )
+        with pytest.raises(BrokenChain, match="refusing recovery"):
+            _recover(toy_stats, io)
+
+    def test_lone_snapshot_missing_keys_is_skipped(self, toy_stats):
+        io = FaultyIO()
+        io.makedirs(DIR)
+        atomic_write_json(
+            f"{DIR}/snapshot-000001.json",
+            {"version": 3, "kind": "full", "snapshot_id": 1, "wal_seq": 0},
+            io=io,
+        )
+        engine, report = _recover(toy_stats, io)
+        assert report["snapshot_id"] is None
+        [skipped] = report["skipped_snapshots"]
+        assert skipped["snapshot_id"] == 1
+        assert "snapshot key 'batch_size' is missing" in skipped["error"]
+        assert engine.statements_processed == 0
 
     def test_skipped_snapshot_wal_seq_is_a_gap_witness(
         self, toy_stats, reference

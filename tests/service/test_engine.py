@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import Index, StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
-from repro.service import TuningEngine
+from repro.service import CorruptSnapshot, TuningEngine, UnsupportedVersion
 
 SALES = "shop.sales"
 
@@ -274,16 +274,58 @@ class TestCheckpointWithPendingSubmissions:
         state = restored._client("a")
         assert state.submitted == state.processed == 5
 
-    def test_version_1_documents_still_restore(self, engine, toy_stats):
+    @pytest.mark.parametrize("version", [1, 2, 4])
+    def test_only_the_current_version_restores(
+        self, engine, toy_stats, version
+    ):
         engine.session("a").execute(narrow_sql(toy_stats))
         document = engine.checkpoint()
-        # A pre-pending-queue document: no "pending" key, version 1.
-        document.pop("pending")
-        document["version"] = 1
-        restored = TuningEngine.restore(
-            document,
-            WhatIfOptimizer(toy_stats),
-            StatsTransitionCosts(toy_stats),
-        )
-        assert restored.statements_processed == 1
-        assert restored.queue_depth == 0
+        document["version"] = version
+        with pytest.raises(UnsupportedVersion):
+            TuningEngine.restore(
+                document,
+                WhatIfOptimizer(toy_stats),
+                StatsTransitionCosts(toy_stats),
+            )
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("pending",),
+            ("background_pacing",),
+            ("accounting", "realized_work"),
+            ("accounting", "adoption_changes"),
+            ("sessions", 0, "priority"),
+            ("sessions", 0, "recommended_work"),
+            ("tuner", "feedback_count"),
+            ("tuner", "parts", 0, "state", "w_version"),
+        ],
+    )
+    def test_missing_key_raises_corrupt_snapshot(
+        self, engine, toy_stats, path
+    ):
+        """Every key the writer emits is required: a document lacking one
+        fails as a CorruptSnapshot naming it, never a bare KeyError and
+        never a silent default."""
+        engine.session("a").execute(narrow_sql(toy_stats))
+        document = engine.checkpoint()
+        parent = document
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        with pytest.raises(CorruptSnapshot, match=repr(path[-1])):
+            TuningEngine.restore(
+                document,
+                WhatIfOptimizer(toy_stats),
+                StatsTransitionCosts(toy_stats),
+            )
+
+    def test_ill_typed_key_raises_corrupt_snapshot(self, engine, toy_stats):
+        document = engine.checkpoint()
+        document["batch_size"] = "eight"
+        with pytest.raises(CorruptSnapshot, match="'batch_size'"):
+            TuningEngine.restore(
+                document,
+                WhatIfOptimizer(toy_stats),
+                StatsTransitionCosts(toy_stats),
+            )

@@ -110,3 +110,42 @@ class TestReplay:
         path = tmp_path / "bare.json"
         save_checkpoint(path, engine.checkpoint())  # no trace parameters
         assert main(["resume", "--checkpoint", str(path)]) == 2
+
+
+class TestDurableRecover:
+    def _replay_durable(self, directory, *extra):
+        return main([
+            "replay", *TRACE_FLAGS, "--durable-dir", str(directory),
+            "--checkpoint-every", "4", "--full-every", "2", *extra,
+            "--metrics-out", str(directory.parent / "replay.json"),
+        ])
+
+    def test_priority_map_recovers_and_verifies(self, tmp_path):
+        directory = tmp_path / "durable"
+        assert self._replay_durable(
+            directory,
+            "--priority-map", "client-0=interactive,client-1=background",
+        ) == 0
+        out = tmp_path / "recover.json"
+        assert main([
+            "recover", "--dir", str(directory), "--verify",
+            "--metrics-out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["verify"]["verified"] is True
+        assert report["verify"]["recommendation_mismatches"] == []
+
+    def test_snapshot_missing_keys_exits_2(self, tmp_path, capsys):
+        """A parseable newest snapshot without the engine state fails to
+        restore as a SnapshotError; recovery refuses to fall back past it
+        and the CLI exits 2 instead of crashing on a KeyError."""
+        directory = tmp_path / "durable"
+        assert self._replay_durable(directory) == 0
+        newest = max(directory.glob("snapshot-*.json"))
+        document = json.loads(newest.read_text())
+        newest.write_text(json.dumps({
+            key: document[key]
+            for key in ("version", "kind", "snapshot_id", "wal_seq", "extra")
+        }))
+        assert main(["recover", "--dir", str(directory)]) == 2
+        assert "refusing recovery" in capsys.readouterr().err

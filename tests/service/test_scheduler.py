@@ -1,14 +1,13 @@
 """Priority scheduler contracts (ISSUE 10): lanes, admission, drain rules.
 
 Unit level: :class:`repro.service.scheduler.IngestScheduler` drain order
-is a pure function of (priority rank, arrival seq), admission control is
-all-or-nothing with typed rejections, and ``take_fifo`` reproduces pure
-arrival order. Engine level: uniform-priority ingest is bit-identical to
-the pre-scheduler FIFO on both kernel backends (the refactor's
-no-behavior-change proof), foreground always preempts a queued background
-flood, ``stop``/``checkpoint`` drain exactly the classes they document,
-and the deferred-task lane runs only in idle windows with exceptions
-contained.
+is a pure function of (priority rank, arrival seq), and admission control
+is all-or-nothing with typed rejections. Engine level: uniform-priority
+ingest is bit-identical to WFIT fed in submission order by
+:func:`repro.core.driver.run_online` on both kernel backends, foreground
+always preempts a queued background flood, ``stop``/``checkpoint`` drain
+exactly the classes they document, and the deferred-task lane runs only
+in idle windows with exceptions contained.
 """
 
 from __future__ import annotations
@@ -19,9 +18,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.driver import run_online
 from repro.core.wfa_kernel import available_backends, force_backend
+from repro.core.wfit import WFIT
 from repro.db import StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
+from repro.query.parser import parse_statement, to_sql
 from repro.service import (
     DEFAULT_PRIORITY,
     IngestScheduler,
@@ -95,13 +97,6 @@ class TestSchedulerUnit:
             "interactive": 0, "normal": 3, "background": 1,
         }
 
-    def test_take_fifo_is_pure_arrival_order(self):
-        sched = IngestScheduler()
-        sched.push("background", "c", "s0")
-        sched.push("interactive", "b", "s1")
-        sched.push("normal", "a", "s2")
-        assert [e.statement for e in sched.take_fifo(3)] == ["s0", "s1", "s2"]
-
     def test_entries_snapshot_in_arrival_order(self):
         sched = IngestScheduler()
         sched.push("background", "c", "s0")
@@ -133,15 +128,6 @@ class TestSchedulerUnit:
         assert sched.depth() == 1  # nothing from the batch was enqueued
         sched.push_many([("normal", "a", s) for s in ("s1", "s2")])
         assert sched.depth() == 3
-
-    def test_priorities_seen_is_sticky(self):
-        sched = IngestScheduler()
-        sched.push("normal", "a", "s0")
-        assert not sched.priorities_seen
-        sched.push("interactive", "a", "s1")
-        assert sched.priorities_seen
-        sched.take(10, PRIORITIES)
-        assert sched.priorities_seen  # survives draining
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -190,7 +176,7 @@ class TestSchedulerUnit:
 
 
 # ---------------------------------------------------------------------------
-# Engine: uniform priority == the pre-scheduler FIFO, bit for bit
+# Engine: uniform priority == WFIT fed in submission order, bit for bit
 # ---------------------------------------------------------------------------
 
 class TestUniformPriorityBitIdentity:
@@ -205,9 +191,12 @@ class TestUniformPriorityBitIdentity:
         self, toy_stats, backend, data, priority, batch_size
     ):
         """With every submission in ONE class, the priority scheduler's
-        pump must reproduce the old FIFO ingest exactly: same analysis
-        order, same recommendations, bit-identical totWork — on both
-        kernel backends."""
+        pump must reproduce a FIFO feed exactly: same recommendations,
+        bit-identical totWork in both series — on both kernel backends.
+        The oracle is run_online over a bare WFIT in submission order,
+        never adopting (the engine's materialized set never changes), so
+        its realized series is the engine's realized series and its
+        tracked recommended series the engine's total_work."""
         n = data.draw(st.integers(2, 8), label="n_statements")
         offsets = [
             data.draw(st.integers(0, 9), label=f"offset{i}")
@@ -217,30 +206,50 @@ class TestUniformPriorityBitIdentity:
             data.draw(st.sampled_from(["a", "b"]), label=f"client{i}")
             for i in range(n)
         ]
+        # Mixed columns make WFIT's state depend on analysis order.
+        columns = [
+            data.draw(
+                st.sampled_from(["amount", "product_id", "sale_date"]),
+                label=f"column{i}",
+            )
+            for i in range(n)
+        ]
+        sqls = [
+            narrow_sql(toy_stats, column=column, offset=offset * 0.05)
+            for column, offset in zip(columns, offsets)
+        ]
         with force_backend(backend):
-            runs = []
-            for fifo in (False, True):
-                engine = make_engine(toy_stats, batch_size=batch_size)
-                for client, offset in zip(clients, offsets):
-                    engine.submit(
-                        client,
-                        narrow_sql(toy_stats, offset=offset * 0.05),
-                        priority=priority,
-                    )
-                if fifo:
-                    assert engine._pump_fifo(n) == n
-                else:
-                    assert engine.pump() == n
-                runs.append((
-                    tuple(sorted(ix.name for ix in engine.tuner.recommend())),
-                    engine.total_work,
-                    engine.realized_total_work,
-                    {
-                        c: engine.session(c).statements_processed
-                        for c in set(clients)
-                    },
-                ))
-            assert runs[0] == runs[1]
+            engine = make_engine(toy_stats, batch_size=batch_size)
+            for client, sql in zip(clients, sqls):
+                engine.submit(client, sql, priority=priority)
+            assert engine.pump() == n
+            optimizer = WhatIfOptimizer(toy_stats)
+            transitions = StatsTransitionCosts(toy_stats)
+            tuner = WFIT(optimizer, transitions, idx_cnt=8, state_cnt=64)
+            result = run_online(
+                tuner,
+                [parse_statement(sql) for sql in sqls],
+                optimizer.cost,
+                transitions,
+                adopt_period=n + 1,
+                lease_feedback=False,
+                track_recommended=True,
+            )
+            assert engine.tuner.recommend() == tuner.recommend()
+            assert engine.total_work == result.recommended_total_work
+            assert engine.realized_total_work == result.total_work
+            assert {
+                c: engine.session(c).statements_processed for c in set(clients)
+            } == {c: clients.count(c) for c in set(clients)}
+            for c in set(clients):
+                analyzed = [
+                    event.detail for event in engine.history(c)
+                    if event.kind == "statement"
+                ]
+                assert analyzed == [
+                    to_sql(parse_statement(sql))
+                    for client, sql in zip(clients, sqls) if client == c
+                ]
 
 
 # ---------------------------------------------------------------------------

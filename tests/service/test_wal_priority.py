@@ -1,12 +1,11 @@
-"""WAL/snapshot compatibility for the priority scheduler (ISSUE 10).
+"""The WAL's priority encoding and its one replay path.
 
-The compat contract has two directions. Backward: submit records written
-by the pre-scheduler engine (PR 9) carry no ``priority`` key and must
-replay as ``normal`` — explicitly, never through the session's *current*
-default, which may have changed by replay time. Forward: an all-``normal``
-history written by the new engine stays byte-compatible with the old
-format — no ``priority`` keys, no ``drain`` records — so the two formats
-are only distinguishable once a non-default class is actually used.
+Submit records omit the ``priority`` key for the default class (the
+compact encoding); such records must replay as ``normal`` — explicitly,
+never through the session's *current* default, which may have changed by
+replay time. Every non-empty micro-batch is logged as a ``drain`` record,
+so replay re-forms each batch from the log alone; a log whose drains do
+not reach a vote's or materialization's statement position is refused.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import pytest
 from repro.db import StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.service import Durability, TuningEngine
-from repro.service.wal import WriteAheadLog, read_wal
+from repro.service.wal import WalError, WriteAheadLog, read_wal
 
 SALES = "shop.sales"
 
@@ -47,8 +46,8 @@ def recover(stats, directory):
 
 class TestMixedVersionWal:
     def test_priorityless_records_replay_as_normal(self, toy_stats, tmp_path):
-        """A WAL written by the PR-9 engine (no priority keys anywhere)
-        recovers with every statement in the ``normal`` class."""
+        """Submit records without a priority key recover with every
+        statement in the ``normal`` class."""
         wal = WriteAheadLog(tmp_path / "wal.log")
         for offset in (0.0, 0.1):
             wal.append("submit", {
@@ -68,9 +67,9 @@ class TestMixedVersionWal:
         assert engine.session("legacy").statements_processed == 3
 
     def test_mixed_old_and_new_records(self, toy_stats, tmp_path):
-        """Old priority-less records interleaved with new priority-tagged
-        ones: the old ones land in ``normal``, the new ones in their
-        recorded class — regardless of any session default."""
+        """Priority-less records interleaved with priority-tagged ones:
+        the former land in ``normal``, the latter in their recorded
+        class — regardless of any session default."""
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.append("submit", {
             "client_id": "legacy", "sql": narrow_sql(toy_stats),
@@ -111,36 +110,61 @@ class TestMixedVersionWal:
 
 
 class TestForwardFormatCompat:
-    def test_all_normal_history_writes_no_priority_artifacts(
+    def test_every_drain_is_logged(
         self, toy_stats, tmp_path
     ):
-        """Default-priority traffic through the new engine produces a log
-        with no ``priority`` keys and no ``drain`` records — byte-level
-        compatibility with the PR-9 format."""
+        """An all-``normal`` history still logs one drain record per
+        non-empty batch, right after the submissions it drains; the
+        submissions themselves keep the compact encoding."""
         engine = fresh_engine(toy_stats)
         durability = Durability(tmp_path, fsync_interval_ms=0)
         durability.attach(engine)
         for offset in (0.0, 0.1):
             engine.submit("a", narrow_sql(toy_stats, offset=offset))
         engine.pump()
+        engine.pump()  # nothing queued: no record
         engine.submit_many([("b", narrow_sql(toy_stats, offset=0.2))])
         engine.pump()
         durability.close()
-        scan = read_wal(tmp_path / "wal.log")
-        kinds = [record.kind for record in scan.records]
-        assert "drain" not in kinds
-        for record in scan.records:
+        records = read_wal(tmp_path / "wal.log").records
+        assert [record.kind for record in records] == [
+            "submit", "submit", "drain", "submit_many", "drain",
+        ]
+        assert [
+            (r.payload["position"], r.payload["count"])
+            for r in records if r.kind == "drain"
+        ] == [(0, 2), (2, 1)]
+        assert engine.batches_processed == 2
+        for record in records:
             if record.kind == "submit":
                 assert "priority" not in record.payload
             elif record.kind == "submit_many":
                 for entry in record.payload["entries"]:
                     assert "priority" not in entry
 
+    def test_drainless_log_with_positioned_vote_is_refused(
+        self, toy_stats, tmp_path
+    ):
+        """A log whose statements were analyzed without drain records (a
+        vote at position 2 after two bare submits) cannot be replayed
+        faithfully: recovery refuses it instead of guessing the order."""
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        for offset in (0.0, 0.1):
+            wal.append("submit", {
+                "client_id": "a", "sql": narrow_sql(toy_stats, offset=offset),
+            })
+        wal.append("vote", {
+            "client_id": "dba", "position": 2, "plus": [], "minus": [],
+        })
+        wal.close()
+        with pytest.raises(WalError, match="position 2"):
+            recover(toy_stats, tmp_path)
+
     def test_priority_history_round_trips_through_recovery(
         self, toy_stats, tmp_path
     ):
-        """Once a non-default class appears, drains are logged and
-        recovery reproduces the exact analysis state — processed counts,
+        """Priority-interleaved drains replay from their records: recovery
+        reproduces the exact analysis state — processed counts,
         per-class backlog, and both totWork series."""
         engine = fresh_engine(toy_stats)
         durability = Durability(tmp_path, fsync_interval_ms=0)
