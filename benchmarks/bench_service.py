@@ -8,10 +8,9 @@ workloads served two ways:
   core, one what-if optimizer) multiplexing all N sessions through the
   micro-batched ingest queue. Overlap means each client's statements hit
   the shared statement/IBG caches warmed by the other clients.
-* **independent** — N legacy-shaped :class:`~repro.advisor.AdvisorSession`
-  objects, each with its own optimizer and tuner (each now a thin client
-  of its own private engine, so per-statement bookkeeping is identical to
-  the shared mode and the ratio isolates cache sharing).
+* **independent** — N single-client engines, each with its own optimizer
+  and tuner and one ``"dba"`` session (per-statement bookkeeping is
+  identical to the shared mode, so the ratio isolates cache sharing).
 
 Both modes analyze the same 4×|W| statement stream under the same fixed
 stable partition. The shared engine wins because each plan derivation
@@ -62,7 +61,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from bench_kernel import candidate_pool, chunk_partition
 
 from repro import obs
-from repro.advisor import AdvisorSession
 from repro.db import StatsTransitionCosts, build_catalog
 from repro.ioutil import atomic_write_json
 from repro.optimizer import WhatIfOptimizer
@@ -401,11 +399,11 @@ def run_independent(stats, partition, clients, statements):
     for client in clients:
         optimizer = WhatIfOptimizer(stats)
         optimizers[client] = optimizer
-        sessions[client] = AdvisorSession(
+        sessions[client] = TuningEngine(
             optimizer,
             StatsTransitionCosts(stats),
             fixed_partition=partition,
-        )
+        ).session("dba")
     started = time.perf_counter()
     for client in clients:
         sessions[client].execute_many(statements)
@@ -517,7 +515,7 @@ def main(argv=None) -> int:
     # counters restart so any later section reports only its own work.
     shared_stats = shared_opt.cache_stats(reset=True)
     indep_optimizations = sum(o.optimizations for o in indep_opts.values())
-    recs = {c: sessions[c].tuner.recommend() for c in clients}
+    recs = {c: sessions[c].engine.tuner.recommend() for c in clients}
     independents_agree = len(set(map(frozenset, recs.values()))) == 1
 
     def _session_latencies(metrics):

@@ -249,6 +249,23 @@ class IndexUniverse:
         for index in indices:
             self.ensure(index)
 
+    def truncate(self, length: int) -> None:
+        """Unregister every index at position ``length`` or above (the
+        failed-restore rollback of :meth:`extend_order`).
+
+        Only sound while no mask over the dropped bits has been kept
+        anywhere: it reverses the append-only guarantee for those bits.
+        """
+        for index in self._indices[length:]:
+            del self._position[index]
+        del self._indices[length:]
+        keep = (1 << length) - 1
+        self._table_masks = {
+            table: mask & keep
+            for table, mask in self._table_masks.items()
+            if mask & keep
+        }
+
     # -- mask predicates (free functions of the encoding) -------------------
 
     @staticmethod

@@ -60,21 +60,6 @@ def _feasible(parts: Sequence[AbstractSet[Index]], state_cnt: int) -> bool:
     return state_count(parts) <= state_cnt
 
 
-def _merge_feasible(
-    parts: Sequence[AbstractSet[Index]], i: int, j: int, state_cnt: int
-) -> bool:
-    merged_size = len(parts[i]) + len(parts[j])
-    if merged_size > MAX_PART_SIZE:
-        return False
-    states = (
-        state_count(parts)
-        - (1 << len(parts[i]))
-        - (1 << len(parts[j]))
-        + (1 << merged_size)
-    )
-    return states <= state_cnt
-
-
 def _randomized_merge(
     indices: Sequence[Index],
     state_cnt: int,

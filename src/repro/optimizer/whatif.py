@@ -469,24 +469,22 @@ class WhatIfOptimizer:
         statement: Statement,
         union_mask: int,
         max_nodes: int = 4096,
-        strict: bool = False,
     ):
         """The cached IBG of ``statement`` covering ``union_mask``.
 
         A cached graph is reused whenever its root covers the requested
-        candidates (and, in strict mode, respects ``max_nodes``); otherwise
-        it is rebuilt over the union of both roots (the per-subset plan
-        memo makes the rebuild pay only for new nodes). A build that hits
-        the node cap is memoized so it is not repeated for every covered
-        request; non-strict callers then get None and fall back to direct
-        memoized optimization, strict callers get the RuntimeError.
+        candidates and respects ``max_nodes``; otherwise it is rebuilt
+        over the union of both roots (the per-subset plan memo makes the
+        rebuild pay only for new nodes). A build that hits the node cap
+        raises RuntimeError and is memoized, so a covered retry raises
+        again without repeating it.
         """
         cached = self._ibg_cache.get(statement)
         root = union_mask
         if cached is not None:
             self._ibg_cache.move_to_end(statement)
             if union_mask & ~cached.candidates_mask == 0:
-                if not strict or cached.node_count <= max_nodes:
+                if cached.node_count <= max_nodes:
                     self._ibg_graph_hits += 1
                     return cached
                 # The cached cover is over this caller's cap: fall through
@@ -497,11 +495,9 @@ class WhatIfOptimizer:
         # Skip only the *identical* doomed build (same root, no larger cap):
         # a smaller or different root may well fit under the cap.
         if failed is not None and root == failed[0] and max_nodes <= failed[1]:
-            if strict:
-                raise RuntimeError(
-                    f"IBG for {statement!r} previously exceeded the node cap"
-                )
-            return None
+            raise RuntimeError(
+                f"IBG for {statement!r} previously exceeded the node cap"
+            )
         # Imported here: the graph module imports this one at module scope.
         from ..ibg.graph import build_ibg
 
@@ -515,15 +511,13 @@ class WhatIfOptimizer:
             self._ibg_failed.move_to_end(statement)
             while len(self._ibg_failed) > _IBG_CACHE_LIMIT:
                 self._ibg_failed.popitem(last=False)
-            if strict:
-                raise
-            return None
+            raise
         # A success covering a previously failed root invalidates the
         # failure memo (e.g. the failure was at a smaller cap).
         if failed is not None and failed[0] & ~graph.candidates_mask == 0:
             self._ibg_failed.pop(statement, None)
         # Never replace a cached graph with one covering fewer candidates
-        # (possible only via the strict over-cap rebuild above).
+        # (possible only via the over-cap rebuild above).
         if cached is None or cached.candidates_mask & ~graph.candidates_mask == 0:
             self._ibg_cache[statement] = graph
             self._ibg_cache.move_to_end(statement)
@@ -542,7 +536,7 @@ class WhatIfOptimizer:
         :class:`RuntimeError` when the graph exceeds ``max_nodes``.
         """
         union = self.relevant_mask(statement, self._universe.encode(candidates))
-        return self._statement_ibg(statement, union, max_nodes=max_nodes, strict=True)
+        return self._statement_ibg(statement, union, max_nodes=max_nodes)
 
     # -- mask-level interface (the hot path) ----------------------------------
 

@@ -22,11 +22,9 @@ way for concurrent traffic:
   never occupies the writer for a full batch while interactive work
   waits. :meth:`~TuningEngine.pump` is the deterministic synchronous
   drain (what tests and the replay CLI use); :meth:`~TuningEngine.start`
-  runs the same loop on a background thread, which additionally runs
-  deferred maintenance tasks (:meth:`~TuningEngine.defer`) whenever the
-  statement queues are idle. With ``workers > 1`` the single writer
-  fans each statement's per-part kernel relaxations out to the tuner's
-  worker pool (partition-parallel ingest; bit-identical to
+  runs the same loop on a background thread. With ``workers > 1`` the
+  single writer fans each statement's per-part kernel relaxations out to
+  the tuner's worker pool (partition-parallel ingest; bit-identical to
   ``workers=1`` — see :mod:`repro.core.wfit`).
 * **Shared caches** — every session's statements flow through one
   :class:`~repro.optimizer.whatif.WhatIfOptimizer`, so overlapping
@@ -69,7 +67,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
-    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -147,9 +144,8 @@ class Recommendation:
         return self.recommended == self.materialized
 
 
-#: Default per-client analyze-latency window retained for percentile
-#: reporting (override per engine with the ``latency_window`` constructor
-#: knob). A bounded window keeps the engine's footprint flat over unbounded
+#: Per-client analyze-latency window retained for percentile reporting.
+#: A bounded window keeps the engine's footprint flat over unbounded
 #: statement streams — an unbounded per-statement append is a memory leak
 #: in any long-lived session; p50/p95 then describe recent behavior, which
 #: is what an operator watching a live engine wants anyway.
@@ -170,17 +166,17 @@ class _ClientState:
         "realized_work",
     )
 
-    def __init__(self, client_id: str, latency_window: int) -> None:
+    def __init__(self, client_id: str) -> None:
         self.client_id = client_id
         self.priority = DEFAULT_PRIORITY
         self.submitted = 0
         self.processed = 0
         self.events: List[SessionEvent] = []
-        # Wall-clock seconds each of the client's last ``latency_window``
+        # Wall-clock seconds each of the client's last ``_LATENCY_WINDOW``
         # statements spent inside the shared core (analysis + totWork
         # accounting). Ephemeral observability: not part of checkpoint
         # documents.
-        self.latencies: Deque[float] = deque(maxlen=latency_window)
+        self.latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
         # Per-session query-cost shares of the two totWork series
         # (transition costs are a property of the shared configuration,
         # not of any one session, so they live only in the engine-level
@@ -232,10 +228,6 @@ def _engine_instruments() -> Dict[str, object]:
             help="Statements per drained micro-batch.",
             buckets=obs.POW2_BUCKETS,
         )
-        _ENGINE_INSTRUMENTS["background_tasks"] = registry.counter(
-            "repro_engine_background_tasks_total",
-            help="Deferred maintenance tasks run in idle queue windows.",
-        )
         _ENGINE_INSTRUMENTS["latency"] = {}
     return _ENGINE_INSTRUMENTS
 
@@ -263,7 +255,6 @@ class TuningEngine:
         materialized: AbstractSet[Index] = frozenset(),
         batch_size: int = 32,
         workers: Optional[int] = None,
-        latency_window: int = _LATENCY_WINDOW,
         background_batch_size: int = 1,
         background_pacing: float = 0.008,
         queue_limits: Optional[Mapping[str, Optional[int]]] = None,
@@ -271,8 +262,6 @@ class TuningEngine:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if latency_window < 1:
-            raise ValueError("latency_window must be >= 1")
         if background_batch_size < 1:
             raise ValueError("background_batch_size must be >= 1")
         if background_pacing < 0:
@@ -286,7 +275,6 @@ class TuningEngine:
         )
         self._materialized: set = set(materialized)  # guarded-by: _pump_lock
         self.batch_size = batch_size
-        self.latency_window = latency_window
         #: Statements per *background* micro-batch. Deliberately tiny by
         #: default: the single writer is non-preemptive, so this bounds
         #: how long a queued background flood can occupy it before the
@@ -352,11 +340,6 @@ class TuningEngine:
         # materialized set last changed, and how often it has.
         self._last_adoption_position: Optional[int] = None  # guarded-by: _pump_lock
         self._adoptions = 0  # guarded-by: _pump_lock
-        # Background-task lane accounting (tasks themselves queue in the
-        # scheduler).
-        self._background_tasks_run = 0  # guarded-by: _pump_lock
-        self._background_task_errors = 0  # guarded-by: _pump_lock
-        self._last_background_error: Optional[str] = None  # guarded-by: _pump_lock
         # Observability: construction instant for metrics()["uptime_s"]
         # (monotonic — wall-clock steps must not produce negative uptime),
         # and a weak registry collector for the live queue-depth gauges
@@ -509,9 +492,7 @@ class TuningEngine:
         with self._ingest_lock:
             state = self._clients.get(client_id)
             if state is None:
-                state = self._clients[client_id] = _ClientState(
-                    client_id, self.latency_window
-                )
+                state = self._clients[client_id] = _ClientState(client_id)
         return state
 
     def session(
@@ -654,21 +635,6 @@ class TuningEngine:
                 client.submitted += 1
             self._wakeup.notify()
         return len(batch)
-
-    def defer(self, name: str, fn: Callable[[], object]) -> int:
-        """Queue a maintenance callable on the background task lane.
-
-        The task runs — FIFO among deferred tasks — only when every
-        statement queue is idle: by the background drain thread between
-        polls, or synchronously via :meth:`run_background_tasks`.
-        Exceptions are contained and counted
-        (``metrics()["background_tasks"]``), never propagated. Returns
-        the task's lane sequence number.
-        """
-        seq = self._scheduler.defer(name, fn)
-        with self._wakeup:
-            self._wakeup.notify()
-        return seq
 
     def _analyze(self, client_id: str, statement: Statement) -> None:  # holds: _pump_lock
         """Run one statement through the shared core (writer lock held)."""
@@ -845,14 +811,13 @@ class TuningEngine:
         pacing idle instantly — the lost-wakeup race is closed by
         re-checking the foreground depth under the wakeup condition's
         lock, the same lock every submit notifies under). When every
-        statement queue is idle it runs at most one deferred background
-        task (:meth:`defer`) per poll before sleeping, so maintenance
-        work only ever uses idle windows. Lifecycle transitions are
-        serialized by an internal lock: two threads racing into
-        ``start()`` cannot both pass the already-running check (one
-        starts the drain thread, the other raises), and a ``stop()``
-        concurrent with a ``start()`` observes either the fully-started
-        or the not-yet-started engine, never a half-built one.
+        statement queue is idle it waits up to ``poll_interval`` for the
+        next submit. Lifecycle transitions are serialized by an internal
+        lock: two threads racing into ``start()`` cannot both pass the
+        already-running check (one starts the drain thread, the other
+        raises), and a ``stop()`` concurrent with a ``start()`` observes
+        either the fully-started or the not-yet-started engine, never a
+        half-built one.
         """
         with self._lifecycle_lock:
             if self._thread is not None:
@@ -878,9 +843,8 @@ class TuningEngine:
                                         timeout=self.background_pacing
                                     )
                         continue
-                    if self.run_background_tasks(limit=1) == 0:
-                        with self._wakeup:
-                            self._wakeup.wait(timeout=poll_interval)
+                    with self._wakeup:
+                        self._wakeup.wait(timeout=poll_interval)
 
             thread = threading.Thread(
                 target=_loop, name="tuning-engine-drain", daemon=True
@@ -914,37 +878,6 @@ class TuningEngine:
                 self._thread = None
         if drain:
             self.pump(classes=FOREGROUND_CLASSES)
-
-    def run_background_tasks(self, limit: Optional[int] = None) -> int:
-        """Run deferred tasks while every statement queue is idle.
-
-        Stops early — returning how many tasks ran — as soon as a
-        statement is queued (statement analysis always outranks
-        maintenance), the lane is empty, or ``limit`` is reached. Task
-        exceptions are contained: counted in
-        ``metrics()["background_tasks"]["errors"]`` with the latest
-        message retained, so one bad task cannot kill the drain thread.
-        """
-        run = 0
-        with self._pump_lock:
-            while limit is None or run < limit:
-                if self._scheduler.depth() > 0:
-                    break
-                task = self._scheduler.take_task()
-                if task is None:
-                    break
-                _, name, fn = task
-                with obs.span("engine.background_task"):
-                    try:
-                        fn()
-                    except Exception as exc:  # noqa: BLE001 — contained by design
-                        self._background_task_errors += 1
-                        self._last_background_error = f"{name}: {exc!r}"
-                self._background_tasks_run += 1
-                if obs.state.enabled:
-                    _engine_instruments()["background_tasks"].inc()  # type: ignore[union-attr]
-                run += 1
-        return run
 
     @property
     def running(self) -> bool:
@@ -1015,34 +948,19 @@ class TuningEngine:
         The realized totWork series is charged the transition cost of
         building the index here — at the moment the DBA actually paid it.
         """
-        with self._pump_lock:
-            if index in self._materialized:
-                raise ValueError(f"{index.name} is already materialized")
-            if self._wal is not None:
-                self._wal.append(
-                    "materialize",
-                    {
-                        "client_id": client_id,
-                        "position": self._statements_processed,
-                        "action": "create",
-                        "index": index.to_payload(),
-                    },
-                )
-            before = frozenset(self._materialized)
-            self._materialized.add(index)
-            self._charge_realized_transition(
-                self._transitions.delta(before, frozenset(self._materialized))
-            )
-            self._note_adoption()
-            self._tuner.notify_materialized(
-                created={index}, dropped=frozenset()
-            )
-        self._log(self._client(client_id), "create", index.name)
+        self._materialize(client_id, "create", index)
 
     def drop_index(self, client_id: str, index: Index) -> None:
         """``client_id`` drops an index; WFIT learns via a −vote."""
+        self._materialize(client_id, "drop", index)
+
+    def _materialize(self, client_id: str, action: str, index: Index) -> None:
+        """One DBA create/drop: check, log, apply, charge, implicit vote."""
+        create = action == "create"
         with self._pump_lock:
-            if index not in self._materialized:
+            if create and index in self._materialized:
+                raise ValueError(f"{index.name} is already materialized")
+            if not create and index not in self._materialized:
                 raise ValueError(f"{index.name} is not materialized")
             if self._wal is not None:
                 self._wal.append(
@@ -1050,20 +968,21 @@ class TuningEngine:
                     {
                         "client_id": client_id,
                         "position": self._statements_processed,
-                        "action": "drop",
+                        "action": action,
                         "index": index.to_payload(),
                     },
                 )
             before = frozenset(self._materialized)
-            self._materialized.discard(index)
+            created = frozenset({index}) if create else frozenset()
+            dropped = frozenset() if create else frozenset({index})
+            after = (before | created) - dropped
+            self._materialized = set(after)
             self._charge_realized_transition(
-                self._transitions.delta(before, frozenset(self._materialized))
+                self._transitions.delta(before, after)
             )
             self._note_adoption()
-            self._tuner.notify_materialized(
-                created=frozenset(), dropped={index}
-            )
-        self._log(self._client(client_id), "drop", index.name)
+            self._tuner.notify_materialized(created=created, dropped=dropped)
+        self._log(self._client(client_id), action, index.name)
 
     def adopt(
         self, client_id: str = "default", *, lease: bool = True
@@ -1117,13 +1036,12 @@ class TuningEngine:
 
         Per-session ``latency_p50_ms`` / ``latency_p95_ms`` are
         *window-relative*: they summarize the client's last
-        ``latency_window`` (constructor knob, default 4096) in-core
-        statement latencies — analysis plus totWork accounting — not the
-        full session history; 0.0 before any statement. Each session also
-        reports its ``priority`` class and its finalized query-cost
-        shares of the two totWork series (``recommended_work`` /
-        ``realized_work``; shared transition costs appear only in the
-        engine totals). ``workers`` is the per-part fan-out pool size;
+        ``_LATENCY_WINDOW`` (4096) in-core statement latencies — analysis
+        plus totWork accounting — not the full session history; 0.0
+        before any statement. Each session also reports its ``priority``
+        class and its finalized query-cost shares of the two totWork
+        series (``recommended_work`` / ``realized_work``; shared
+        transition costs appear only in the engine totals). ``workers`` is the per-part fan-out pool size;
         ``parallel`` reports the cumulative fan-out accounting of
         :meth:`~repro.core.wfit.WFIT.parallel_stats` plus
         ``last_batch_efficiency``, the busy/(wall × workers) ratio of
@@ -1138,9 +1056,9 @@ class TuningEngine:
         §3.1 series; ``adoption`` summarizes DBA responsiveness —
         ``lag_statements`` is how many statements have been analyzed
         since the materialized set last changed (None before any
-        change). ``background_tasks`` accounts the deferred-task lane.
-        The numeric counters are also exported on the process-wide
-        :mod:`repro.obs` registry as ``repro_engine_*`` series.
+        change). The numeric counters are also exported on the
+        process-wide :mod:`repro.obs` registry as ``repro_engine_*``
+        series.
         """
         # The writer lock first: latency deques are appended to by the
         # single writer under _pump_lock, so snapshotting them requires it
@@ -1187,13 +1105,6 @@ class TuningEngine:
                     "lag_statements": lag,
                     "feedback_count": self._tuner.feedback_count,
                     "feedback_lag_statements": self._tuner.feedback_lag,
-                },
-                "background_tasks": {
-                    "deferred": self._scheduler.tasks_deferred,
-                    "queued": self._scheduler.task_depth(),
-                    "run": self._background_tasks_run,
-                    "errors": self._background_task_errors,
-                    "last_error": self._last_background_error,
                 },
                 "materialized": [ix.name for ix in sorted(self._materialized)],
                 "recommendation": [
@@ -1341,9 +1252,9 @@ class ClientSession:
         """Intercept one statement synchronously; returns the AST.
 
         Equivalent to ``submit`` followed by a full drain — which is what a
-        single-client deployment (the legacy ``AdvisorSession`` shape)
-        wants. When the engine's background thread is running, this still
-        guarantees the statement has been analyzed on return.
+        single-client deployment wants. When the engine's background
+        thread is running, this still guarantees the statement has been
+        analyzed on return.
         """
         parsed = self._engine.submit(self._client_id, statement)
         self._engine.pump()

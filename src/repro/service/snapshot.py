@@ -350,9 +350,10 @@ def restore_engine(
 
     ``optimizer`` must be freshly built over statistics equivalent to the
     original's; its mask universe is seeded with the checkpointed bit
-    order before any statement flows through it. Delta documents must be
-    resolved first (:func:`resolve_chain`); passing one raises
-    :class:`BrokenChain`. Any version but :data:`SNAPSHOT_VERSION` raises
+    order before any statement flows through it, and left as it was when
+    the restore fails. Delta documents must be resolved first
+    (:func:`resolve_chain`); passing one raises :class:`BrokenChain`.
+    Any version but :data:`SNAPSHOT_VERSION` raises
     :class:`UnsupportedVersion`; a missing or ill-typed key raises
     :class:`CorruptSnapshot`.
     """
@@ -373,12 +374,23 @@ def restore_engine(
                 f"snapshot key {key!r} is missing or ill-typed "
                 f"(got {type(document.get(key)).__name__})"
             )
+    universe = optimizer.mask_universe
+    registered = len(universe)
     try:
         return _restore(document, optimizer, transitions)
-    except KeyError as exc:
-        raise CorruptSnapshot(f"snapshot lacks key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CorruptSnapshot(f"snapshot has an ill-typed value: {exc}") from exc
+    except BaseException as exc:
+        # A document that fails part-way must not leave its bit order in
+        # the caller's optimizer: recovery restores an older snapshot into
+        # the same one. Restore registers indices but prices no statement,
+        # so no cached mask uses the bits dropped here.
+        universe.truncate(registered)
+        if isinstance(exc, KeyError):
+            raise CorruptSnapshot(f"snapshot lacks key {exc.args[0]!r}") from exc
+        if isinstance(exc, (TypeError, ValueError)):
+            raise CorruptSnapshot(
+                f"snapshot has an ill-typed value: {exc}"
+            ) from exc
+        raise
 
 
 def _restore(document: Dict[str, object], optimizer, transitions):

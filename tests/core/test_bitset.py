@@ -54,6 +54,20 @@ class TestIndexUniverse:
         assert universe.bit_of(indices[3]) == 1 << 2
         assert universe.bit_of(indices[2]) == 1 << 3
 
+    def test_truncate_forgets_later_registrations(self):
+        indices = make_indices(4)
+        other = Index("syn.u", ("z",))
+        universe = IndexUniverse(indices[:2])
+        universe.extend_order([indices[3], other])
+        universe.truncate(2)
+        assert universe.export_order() == tuple(indices[:2])
+        assert indices[3] not in universe and other not in universe
+        assert universe.full_mask == 0b11
+        assert universe.table_mask("syn.t") == 0b11
+        assert universe.table_mask("syn.u") == 0
+        # The freed positions are handed out again, in order.
+        assert universe.ensure(indices[2]) == 2
+
     def test_encode_registers_project_ignores(self):
         known, unknown = make_indices(2)
         universe = IndexUniverse([known])

@@ -142,14 +142,16 @@ class TestStatementIBG:
 
         optimizer = WhatIfOptimizer(toy_stats)
         query = self._rich_query(toy_stats)
-        union = optimizer.relevant_mask(
-            query, optimizer.mask_universe.encode(extract_indices(query))
-        )
-        assert optimizer._statement_ibg(query, union, max_nodes=1) is None
-        spent = optimizer.optimizations
-        # Covered retries answer from the failure memo without re-optimizing.
-        assert optimizer._statement_ibg(query, union, max_nodes=1) is None
-        assert optimizer.optimizations == spent
+        candidates = frozenset(extract_indices(query))
+        with pytest.raises(RuntimeError):
+            optimizer.statement_ibg(query, candidates, max_nodes=1)
+        calls = optimizer.whatif_calls
+        builds = optimizer.cache_stats()["ibg_graph_builds"]
+        # Covered retries answer from the failure memo without rebuilding.
+        with pytest.raises(RuntimeError, match="previously exceeded"):
+            optimizer.statement_ibg(query, candidates, max_nodes=1)
+        assert optimizer.whatif_calls == calls
+        assert optimizer.cache_stats()["ibg_graph_builds"] == builds
 
     def test_bulk_costs_fall_back_when_capped(self, toy_stats):
         from repro.optimizer import extract_indices

@@ -26,7 +26,7 @@ from repro.db import Index, StatsTransitionCosts
 from repro.ioutil import atomic_write_json
 from repro.optimizer import WhatIfOptimizer
 from repro.service import TuningEngine
-from repro.service.snapshot import SNAPSHOT_VERSION, BrokenChain
+from repro.service.snapshot import SNAPSHOT_VERSION, BrokenChain, load_checkpoint
 from repro.service.wal import Durability, read_wal
 
 OPTIONS = dict(idx_cnt=6, state_cnt=32, hist_size=10)
@@ -42,11 +42,13 @@ def _fresh_engine(stats) -> TuningEngine:
 def _events(stats):
     """The toy workload as an explicit event sequence: statements plus a
     DBA vote and an explicit materialization, so WAL replay covers every
-    record kind at a pinned statement position."""
+    record kind at a pinned statement position. The vote vetoes the
+    recommended index, so it changes the work functions: a lost or
+    doubly applied vote shows in the signatures."""
     statements = _toy_statements(stats)
     votes = (
-        frozenset({Index(SALES, ("amount",))}),
         frozenset({Index(SALES, ("product_id",))}),
+        frozenset({Index(SALES, ("amount",))}),
     )
     events = []
     for i, statement in enumerate(statements, start=1):
@@ -197,6 +199,14 @@ class TestKillAtBarriers:
         )
         assert report["wal_torn_tail"] is False
 
+    def test_the_vote_changes_state(self, reference):
+        """Barriers around the vote can tell a lost vote from a replayed
+        one only because the vote moves the engine's state."""
+        position = [event[0] for event in reference["events"]].index("vote")
+        before, after = reference["signatures"][position : position + 2]
+        assert before["work"] != after["work"]
+        assert before["recommendation"] != after["recommendation"]
+
     def test_crash_before_wal_fsync_loses_only_unacknowledged(
         self, toy_stats, reference
     ):
@@ -234,6 +244,21 @@ class TestKillAtBarriers:
         io.schedule_crash(op="fsync", at=3, phase="after")
         acked = _durable_run(toy_stats, reference["events"], io)
         assert acked == 1
+        _recover_and_verify(
+            toy_stats, reference, io, acked, expect_extra=1
+        )
+
+    def test_crash_after_vote_fsync_replays_the_vote(
+        self, toy_stats, reference
+    ):
+        """A vote whose record reached the platter is replayed even though
+        vote() never returned; the vote moves the state, so a dropped
+        replay shows in the signature."""
+        io = FaultyIO()
+        # Fsync 9 pins the vote's WAL record (see the op order above).
+        io.schedule_crash(op="fsync", at=9, phase="after")
+        acked = _durable_run(toy_stats, reference["events"], io)
+        assert acked == 3
         _recover_and_verify(
             toy_stats, reference, io, acked, expect_extra=1
         )
@@ -444,6 +469,34 @@ class TestRotationAndChainSafety:
         )
         with pytest.raises(BrokenChain, match="refusing recovery"):
             _recover(toy_stats, io)
+
+    def test_skipped_snapshot_leaves_no_bit_order_behind(
+        self, toy_stats, reference
+    ):
+        """A newest snapshot that fails to decode after its universe order
+        was read must not seed that order into the optimizer the older
+        snapshot is then restored into."""
+        io = FaultyIO()
+        engine = _fresh_engine(toy_stats)
+        durability = Durability(DIR, io=io, fsync_interval_ms=0)
+        durability.attach(engine)
+        for event in reference["events"][:5]:
+            _apply_event(engine, event)
+        durability.checkpoint()
+        durability.close()
+        order = engine.optimizer.mask_universe.export_order()
+        assert len(order) == 2
+        document = load_checkpoint(f"{DIR}/snapshot-000001.json", io=io)
+        document["snapshot_id"] = 2
+        document["universe_order"] = document["universe_order"][::-1]
+        document["tuner"] = {}
+        atomic_write_json(f"{DIR}/snapshot-000002.json", document, io=io)
+        io.crash()
+        recovered, report = _recover(toy_stats, io)
+        [skipped] = report["skipped_snapshots"]
+        assert skipped["snapshot_id"] == 2
+        assert report["snapshot_id"] == 1
+        assert recovered.optimizer.mask_universe.export_order() == order
 
     def test_lone_snapshot_missing_keys_is_skipped(self, toy_stats):
         io = FaultyIO()

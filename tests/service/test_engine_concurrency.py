@@ -20,6 +20,7 @@ import pytest
 from repro.db import StatsTransitionCosts
 from repro.optimizer import WhatIfOptimizer
 from repro.service import TuningEngine
+from repro.service import engine as engine_module
 
 SALES = "shop.sales"
 
@@ -256,8 +257,9 @@ class TestSubmitMany:
 
 
 class TestLatencyWindow:
-    def test_window_is_bounded_and_configurable(self, toy_stats):
-        engine = make_engine(toy_stats, latency_window=4)
+    def test_window_is_bounded_and_configurable(self, toy_stats, monkeypatch):
+        monkeypatch.setattr(engine_module, "_LATENCY_WINDOW", 4)
+        engine = make_engine(toy_stats)
         session = engine.session("a")
         for i in range(10):
             session.execute(narrow_sql(toy_stats, offset=0.02 * i))
@@ -269,12 +271,8 @@ class TestLatencyWindow:
 
     def test_default_window(self, toy_stats):
         engine = make_engine(toy_stats)
-        assert engine.latency_window == 4096
+        assert engine_module._LATENCY_WINDOW == 4096
         assert engine._client("a").latencies.maxlen == 4096
-
-    def test_window_validation(self, toy_stats):
-        with pytest.raises(ValueError, match="latency_window"):
-            make_engine(toy_stats, latency_window=0)
 
 
 class TestParallelEngine:

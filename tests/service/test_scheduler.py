@@ -119,16 +119,6 @@ class TestSchedulerUnit:
         sched.push("background", "c", "s2")  # retry succeeds after drain
         assert sched.depth() == 2
 
-    def test_push_many_is_all_or_nothing(self):
-        sched = IngestScheduler(limits={"normal": 3})
-        sched.push("normal", "a", "s0")
-        with pytest.raises(QueueFull) as info:
-            sched.push_many([("normal", "a", s) for s in ("s1", "s2", "s3")])
-        assert info.value.requested == 3
-        assert sched.depth() == 1  # nothing from the batch was enqueued
-        sched.push_many([("normal", "a", s) for s in ("s1", "s2")])
-        assert sched.depth() == 3
-
     @settings(max_examples=60, deadline=None)
     @given(
         priorities=st.lists(
@@ -305,7 +295,7 @@ class TestEngineAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Engine: lane rules (foreground first, paced background, deferred tasks)
+# Engine: lane rules (foreground first, paced background)
 # ---------------------------------------------------------------------------
 
 class TestLaneRules:
@@ -357,35 +347,6 @@ class TestLaneRules:
         assert engine.queue_depths == {
             "interactive": 0, "normal": 1, "background": 0,
         }
-
-    def test_deferred_tasks_run_only_when_queues_idle(self, toy_stats):
-        engine = make_engine(toy_stats)
-        ran = []
-        engine.defer("probe", lambda: ran.append("probe"))
-        engine.submit("a", narrow_sql(toy_stats))
-        assert engine.run_background_tasks() == 0  # statement queued
-        assert ran == []
-        engine.pump()
-        assert engine.run_background_tasks() == 1
-        assert ran == ["probe"]
-        tasks = engine.metrics()["background_tasks"]
-        assert tasks["deferred"] == 1
-        assert tasks["run"] == 1
-        assert tasks["queued"] == 0
-
-    def test_deferred_task_errors_are_contained(self, toy_stats):
-        engine = make_engine(toy_stats)
-
-        def boom() -> None:
-            raise RuntimeError("maintenance failed")
-
-        engine.defer("boom", boom)
-        engine.defer("ok", lambda: None)
-        assert engine.run_background_tasks() == 2
-        tasks = engine.metrics()["background_tasks"]
-        assert tasks["errors"] == 1
-        assert "maintenance failed" in tasks["last_error"]
-        assert tasks["run"] == 2
 
 
 # ---------------------------------------------------------------------------
